@@ -87,10 +87,18 @@ def ground_element(
 ) -> tuple[bool, list[GroundingSpan]]:
     """All non-overlapping occurrences of `element` in the paragraph under
     casefold + whitespace-collapse matching; offsets index the raw text."""
+    return _ground_in(element, paragraph.text, _normalize_with_offsets(paragraph.text), kind)
+
+
+def _ground_in(
+    element: str, text: str, normalized: tuple[str, list[int], list[int]], kind: str
+) -> tuple[bool, list[GroundingSpan]]:
+    """`ground_element` against `text` already normalised by
+    `_normalize_with_offsets`, so a paragraph is normalised once."""
     needle = _normalize_element(element)
     if not needle:
         return False, []
-    haystack, starts, ends = _normalize_with_offsets(paragraph.text)
+    haystack, starts, ends = normalized
     spans: list[GroundingSpan] = []
     pos = haystack.find(needle)
     while pos != -1:
@@ -106,7 +114,7 @@ def ground_element(
                     element_kind=kind,
                     char_start=char_start,
                     char_end=char_end,
-                    matched_text=paragraph.text[char_start:char_end],
+                    matched_text=text[char_start:char_end],
                 )
             )
             pos = haystack.find(needle, pos + len(needle))
@@ -137,9 +145,10 @@ def grounding_report(graph: SemanticGraph, paragraph: Paragraph) -> GroundingRep
         raise ValueError(
             f"graph is for {graph.source_title!r}, paragraph is {paragraph.title!r}"
         )
+    normalized = _normalize_with_offsets(paragraph.text)
     per_element = []
     for kind, text in _graph_elements(graph):
-        grounded, spans = ground_element(text, paragraph, kind=kind)
+        grounded, spans = _ground_in(text, paragraph.text, normalized, kind)
         per_element.append(
             ElementGrounding(
                 element_kind=kind, element_text=text, grounded=grounded, spans=tuple(spans)

@@ -217,7 +217,8 @@ class HTTPBackend:
 
 def generate(request: GenerationRequest, backend) -> Completion:
     """One backend call; the completion is truncated at the first stop sequence."""
-    logger.debug("raw request (key=%s):\n%s", request_key(request)[:12], request.prompt)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("raw request (key=%s):\n%s", request_key(request)[:12], request.prompt)
     start = time.monotonic()
     raw = backend.complete(request)
     latency = 0.0 if getattr(backend, "instant", False) else time.monotonic() - start
@@ -226,15 +227,28 @@ def generate(request: GenerationRequest, backend) -> Completion:
     return Completion(text=text, backend_id=backend.backend_id, cached=False, latency=latency)
 
 
+def write_atomic(path, chunks) -> None:
+    """Write the text chunks to `path` through a temp file in its directory
+    and an atomic rename, so `path` holds its old bytes or all the new ones."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 class CompletionCache:
-    """One JSON file per completion under cache_dir/objects plus an append-only
-    JSONL index; writes are temp-then-rename so concurrent workers are safe."""
+    """One JSON file per completion under cache_dir/objects; writes are
+    temp-then-rename so concurrent workers are safe."""
 
     def __init__(self, cache_dir):
         self.root = Path(cache_dir)
         self.objects = self.root / "objects"
         self.objects.mkdir(parents=True, exist_ok=True)
-        self.index = self.root / "index.jsonl"
 
     def _entry_path(self, key: str) -> Path:
         return self.objects / f"{key}.json"
@@ -253,27 +267,14 @@ class CompletionCache:
             logger.warning("corrupt cache entry %s (%s); regenerating", path.name, exc)
             return None
 
-    def put(self, key: str, text: str, backend_id: str, prompt_excerpt: str = ""):
+    def put(self, key: str, text: str, backend_id: str):
         entry = {
             "key": key,
             "text": text,
             "backend_id": backend_id,
             "created_at": time.time(),
         }
-        fd, tmp = tempfile.mkstemp(dir=self.objects, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, ensure_ascii=False)
-            os.replace(tmp, self._entry_path(key))
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        index_line = json.dumps(
-            {"key": key, "created_at": entry["created_at"], "prompt_excerpt": prompt_excerpt},
-            ensure_ascii=False,
-        )
-        with open(self.index, "a", encoding="utf-8") as fh:
-            fh.write(index_line + "\n")
+        write_atomic(self._entry_path(key), [json.dumps(entry, ensure_ascii=False)])
 
 
 def cached_generate(request: GenerationRequest, backend, cache: CompletionCache) -> Completion:
@@ -290,6 +291,5 @@ def cached_generate(request: GenerationRequest, backend, cache: CompletionCache)
             latency=0.0,
         )
     completion = generate(request, backend)
-    cache.put(key, completion.text, completion.backend_id,
-              prompt_excerpt=request.prompt[-80:])
+    cache.put(key, completion.text, completion.backend_id)
     return completion

@@ -2,8 +2,10 @@
 
 Stages are idempotent: completions are cached on disk, so re-running (or
 resuming after a kill) recomputes outputs byte-identically without repeat
-backend calls. The experiment matrix (4 prompt variants x 2 settings) is
-purely configuration.
+backend calls. Resume comes from that cache alone. Each stage writes its run
+manifest twice, at its start and at its end; a stage killed in between leaves
+the manifest of the start. Output files are written whole or not at all. The
+experiment matrix (4 prompt variants x 2 settings) is purely configuration.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ import dataclasses
 import io
 import json
 import logging
-import os
-import tempfile
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +28,7 @@ from .llm import (
     cached_generate,
     extraction_request,
     qa_request,
+    write_atomic,
 )
 from .prompts import PromptVariant, Setting
 
@@ -89,16 +89,16 @@ class RunConfig:
         return data
 
 
-_STATUS_RANK = {"pending": 0, "extracted": 1, "answered": 2, "scored": 3}
+_STATUS_RANK = {"pending": 0, "extracted": 1, "answered": 2}
 
 
 class RunManifest:
-    """Per-question status ledger persisted as JSON; transitions only move
-    forward (a failed question may be retried on a later run)."""
+    """Per-question status ledger persisted as JSON. Statuses are recorded in
+    memory and written by `ensure` and `save`; transitions only move forward
+    (a failed question may be retried on a later run)."""
 
     def __init__(self, path, config: RunConfig | None = None):
         self.path = Path(path)
-        self._lock = threading.Lock()
         if self.path.exists():
             with open(self.path, encoding="utf-8") as fh:
                 self._data = json.load(fh)
@@ -111,40 +111,19 @@ class RunManifest:
             }
 
     def ensure(self, question_ids: list[str]):
-        with self._lock:
-            for qid in question_ids:
-                self._data["questions"].setdefault(qid, {"status": "pending", "reason": None})
-            self._save()
+        for qid in question_ids:
+            self._data["questions"].setdefault(qid, {"status": "pending", "reason": None})
+        self.save()
 
     def mark(self, question_id: str, status: str, reason: str | None = None):
-        with self._lock:
-            entry = self._data["questions"].setdefault(
-                question_id, {"status": "pending", "reason": None}
-            )
-            current = entry["status"]
-            if status == "failed":
-                entry.update(status="failed", reason=reason)
-            elif current == "failed" or _STATUS_RANK[status] >= _STATUS_RANK.get(current, 0):
-                entry.update(status=status, reason=None)
-            self._save()
-
-    def status(self, question_id: str) -> str:
-        return self._data["questions"].get(question_id, {}).get("status", "pending")
-
-    def pending(self, target: str) -> list[str]:
-        """Question ids not yet at `target` status (failed ones included)."""
-        rank = _STATUS_RANK[target]
-        out = []
-        for qid, entry in self._data["questions"].items():
-            if entry["status"] == "failed" or _STATUS_RANK.get(entry["status"], 0) < rank:
-                out.append(qid)
-        return out
-
-    def totals(self) -> dict:
-        counts: dict[str, int] = {}
-        for entry in self._data["questions"].values():
-            counts[entry["status"]] = counts.get(entry["status"], 0) + 1
-        return counts
+        entry = self._data["questions"].setdefault(
+            question_id, {"status": "pending", "reason": None}
+        )
+        current = entry["status"]
+        if status == "failed":
+            entry.update(status="failed", reason=reason)
+        elif current == "failed" or _STATUS_RANK[status] >= _STATUS_RANK.get(current, 0):
+            entry.update(status=status, reason=None)
 
     def failed(self) -> list[tuple[str, str]]:
         return [
@@ -153,12 +132,9 @@ class RunManifest:
             if entry["status"] == "failed"
         ]
 
-    def _save(self):
+    def save(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(self._data, fh, indent=2, sort_keys=True)
-        os.replace(tmp, self.path)
+        write_atomic(self.path, [json.dumps(self._data, indent=2, sort_keys=True)])
 
 
 def load_records(config: RunConfig) -> list[corpus.QuestionRecord]:
@@ -233,6 +209,21 @@ def _map_records(config: RunConfig, records, worker):
         return list(pool.map(worker, records))
 
 
+def _jsonl(rows):
+    return (json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+
+
+def _record_outcomes(manifest: RunManifest, records, outcomes, status: str):
+    """Record each worker's (output, failure reason) outcome and write the
+    manifest once for the stage."""
+    for record, (_, failure) in zip(records, outcomes):
+        if failure is None:
+            manifest.mark(record.id, status)
+        else:
+            manifest.mark(record.id, "failed", reason=failure)
+    manifest.save()
+
+
 def run_extract(config: RunConfig) -> Path:
     """Extract a semantic graph per gold paragraph; writes graphs.jsonl."""
     if config.variant is PromptVariant.BASE:
@@ -268,17 +259,13 @@ def run_extract(config: RunConfig) -> Path:
                 )
         except Exception as exc:
             logger.exception("extraction failed for %s", record.id)
-            manifest.mark(record.id, "failed", reason=f"extract: {exc}")
-            return None
-        manifest.mark(record.id, "extracted")
-        return rows
+            return None, f"extract: {exc}"
+        return rows, None
 
-    results = _map_records(config, records, worker)
+    outcomes = _map_records(config, records, worker)
     graphs_path = out_dir / "graphs.jsonl"
-    with open(graphs_path, "w", encoding="utf-8") as fh:
-        for rows in results:
-            for row in rows or ():
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    write_atomic(graphs_path, _jsonl(row for rows, _ in outcomes for row in rows or ()))
+    _record_outcomes(manifest, records, outcomes, "extracted")
     return graphs_path
 
 
@@ -325,8 +312,7 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
             if needs_graphs:
                 by_index = graphs_by_qid.get(record.id)
                 if by_index is None or len(by_index) != len(paragraphs):
-                    manifest.mark(record.id, "failed", reason="missing graph")
-                    return None
+                    return None, "missing graph"
                 graphs = [by_index[i] for i in range(len(paragraphs))]
             else:
                 graphs = []
@@ -360,17 +346,13 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
             }
         except Exception as exc:
             logger.exception("answering failed for %s", record.id)
-            manifest.mark(record.id, "failed", reason=f"answer: {exc}")
-            return None
-        manifest.mark(record.id, "answered")
-        return row
+            return None, f"answer: {exc}"
+        return row, None
 
-    results = _map_records(config, records, worker)
+    outcomes = _map_records(config, records, worker)
     predictions_path = out_dir / "predictions.jsonl"
-    with open(predictions_path, "w", encoding="utf-8") as fh:
-        for row in results:
-            if row is not None:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    write_atomic(predictions_path, _jsonl(row for row, _ in outcomes if row is not None))
+    _record_outcomes(manifest, records, outcomes, "answered")
     return predictions_path
 
 

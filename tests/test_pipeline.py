@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -200,14 +202,90 @@ def test_manifest_monotone_and_persistent(tmp_path):
     manifest.mark("q1", "extracted")
     manifest.mark("q1", "answered")
     manifest.mark("q1", "extracted")  # downgrade ignored
-    assert manifest.status("q1") == "answered"
     manifest.mark("q2", "failed", reason="boom")
+    manifest.save()
 
+    def questions():
+        return json.loads(path.read_text(encoding="utf-8"))["questions"]
+
+    assert questions() == {
+        "q1": {"status": "answered", "reason": None},
+        "q2": {"status": "failed", "reason": "boom"},
+    }
     reloaded = RunManifest(path)
-    assert reloaded.status("q1") == "answered"
     assert reloaded.failed() == [("q2", "boom")]
-    assert reloaded.pending("answered") == ["q2"]
-    assert reloaded.totals() == {"answered": 1, "failed": 1}
+    reloaded.mark("q1", "extracted")  # still a downgrade after the reload
+    reloaded.mark("q2", "answered")  # a failed question may succeed later
+    reloaded.save()
+    assert questions() == {
+        "q1": {"status": "answered", "reason": None},
+        "q2": {"status": "answered", "reason": None},
+    }
+    assert RunManifest(path).failed() == []
+
+
+def test_run_extract_writes_manifest_twice_and_records_worker_failures(
+    tmp_path, records, monkeypatch
+):
+    doomed = corpus.gold_paragraphs(records[4])[0].text  # not quoted by any demo
+    failing_threads = []
+
+    class FailingBackend(ReplayBackend):
+        def complete(self, request):
+            if doomed in request.prompt:
+                failing_threads.append(threading.current_thread())
+                raise RuntimeError("backend down")
+            return super().complete(request)
+
+    config = make_config(tmp_path, workers=4)
+    fixtures = ReplayBackend.from_file(config.replay_file)._fixtures
+    monkeypatch.setattr(pipeline, "make_backend", lambda _config: FailingBackend(fixtures))
+    manifest_path = Path(config.output_dir) / "manifest.json"
+    writes = []
+    replace = os.replace
+
+    def counting_replace(src, dst):
+        if Path(dst) == manifest_path:
+            writes.append(dst)
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    pipeline.run_extract(config)
+
+    assert 1 <= len(writes) <= 2
+    assert failing_threads
+    assert all(t is not threading.main_thread() for t in failing_threads)
+    assert RunManifest(manifest_path).failed() == [
+        (records[4].id, "extract: backend down")
+    ]
+
+
+@pytest.mark.parametrize("run", [pipeline.run_extract, pipeline.run_answer])
+def test_output_write_failure_keeps_previous_file(tmp_path, monkeypatch, run):
+    config = make_config(tmp_path)
+    pipeline.run_extract(config)
+    path = run(config)
+    before = path.read_bytes()
+    out_dir = Path(config.output_dir)
+    manifest_before = (out_dir / "manifest.json").read_bytes()
+
+    dumps = json.dumps
+    rows_serialised = []
+
+    def failing_dumps(obj, *args, **kwargs):
+        if isinstance(obj, dict) and "question_id" in obj:
+            if len(rows_serialised) == 3:
+                raise RuntimeError("serialisation failed")
+            rows_serialised.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    with pytest.raises(RuntimeError, match="serialisation failed"):
+        run(config)
+
+    assert path.read_bytes() == before
+    assert (out_dir / "manifest.json").read_bytes() == manifest_before
+    assert not list(out_dir.glob("*.tmp"))
 
 
 # --------------------------------------------------------------- evaluate
