@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import corpus, pipeline
+from .jsonl import write_atomic
 from .pipeline import RunConfig, UsageError
 
 logger = logging.getLogger(__name__)
@@ -155,7 +156,7 @@ def cmd_report(args) -> int:
         return 1
     text = "# Run report\n\n" + "\n".join(sections)
     out_path = run_dir / "report.md"
-    out_path.write_text(text, encoding="utf-8")
+    write_atomic(out_path, [text])
     print(text)
     print(f"report written to {out_path}")
     return 0

@@ -125,7 +125,8 @@ def load_dataset(path, format: str = "hotpotqa") -> list[QuestionRecord]:
     """Load a dataset file into typed records.
 
     Raises DatasetParseError on malformed JSON (with byte offset) and
-    DatasetSchemaError naming the record index and field on schema problems.
+    DatasetSchemaError naming the record index and field on schema problems,
+    including an `_id` repeated from an earlier record.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
@@ -140,10 +141,15 @@ def load_dataset(path, format: str = "hotpotqa") -> list[QuestionRecord]:
         raise DatasetParseError(f"{path}: expected a top-level JSON array of records")
 
     records = []
+    first_index: dict[str, int] = {}
     for index, raw in enumerate(data):
         if not isinstance(raw, dict):
             raise DatasetSchemaError(index, "<record>", "not a JSON object")
-        record_id = _require(raw, index, "_id")
+        record_id = str(_require(raw, index, "_id"))
+        if first_index.setdefault(record_id, index) != index:
+            raise DatasetSchemaError(
+                index, "_id", f"{record_id!r} repeats record {first_index[record_id]}"
+            )
         question = _require(raw, index, "question")
         answer = _require(raw, index, "answer")
         context = _parse_context(_require(raw, index, "context"), index)
@@ -157,7 +163,7 @@ def load_dataset(path, format: str = "hotpotqa") -> list[QuestionRecord]:
             evidences = tuple(tuple(e) for e in raw.get("evidences", []))
         records.append(
             QuestionRecord(
-                id=str(record_id),
+                id=record_id,
                 question=question,
                 gold_answer=answer,
                 context=context,

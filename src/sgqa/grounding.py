@@ -234,8 +234,8 @@ def render_highlights(paragraph: Paragraph, report: GroundingReport, format: str
 
     all_spans = [s for e in report.per_element for s in e.spans]
     kept, dropped = _select_nonoverlapping(all_spans)
-    if dropped:
-        logger.warning("dropped %d overlapping span(s) for %r", dropped, paragraph.title)
+    if dropped:  # entity spans nested in triple fields are the normal case
+        logger.debug("dropped %d overlapping span(s) for %r", dropped, paragraph.title)
     pieces = []
     cursor = 0
     for span in kept:

@@ -4,6 +4,8 @@ Two backends share one contract: a live completions-style HTTP backend and a
 replay backend serving pre-recorded fixtures, which makes every pipeline run
 a pure function of its inputs. Completions are cached on disk keyed by a
 digest of the full request, so interrupted runs resume without new calls.
+Cache entries and replay fixtures are written through `jsonl.write_atomic`,
+so each file is whole or unchanged.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+from .jsonl import read_jsonl, write_atomic, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -119,15 +122,7 @@ class ReplayBackend:
 
     @classmethod
     def from_file(cls, path) -> "ReplayBackend":
-        fixtures = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                fixtures[entry["key"]] = entry["text"]
-        return cls(fixtures)
+        return cls({entry["key"]: entry["text"] for _, entry in read_jsonl(path)})
 
     def complete(self, request: GenerationRequest) -> str:
         self.calls += 1
@@ -143,14 +138,10 @@ class ReplayBackend:
 
 def write_replay_fixture(path, entries: list[tuple[GenerationRequest, str]]):
     """Write (request, completion) pairs as a replay fixture file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for request, text in entries:
-            record = {
-                "key": request_key(request),
-                "prompt_excerpt": request.prompt[-80:],
-                "text": text,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_jsonl(path, (
+        {"key": request_key(request), "prompt_excerpt": request.prompt[-80:], "text": text}
+        for request, text in entries
+    ))
 
 
 class HTTPBackend:
@@ -160,7 +151,8 @@ class HTTPBackend:
     bearer token from the SGQA_API_KEY environment variable, and reads
     choices[0].text (falling back to a top-level "text"). Retries up to
     RETRY_ATTEMPTS times with exponential backoff on network errors, 429 and
-    5xx responses.
+    5xx responses; other 4xx responses and a 200 body without the text fail
+    at once.
     """
 
     def __init__(self, endpoint: str, session=None, timeout: float = 120.0,
@@ -200,9 +192,14 @@ class HTTPBackend:
                     raise BackendError(f"HTTP {response.status_code}: {response.text[:200]}")
                 else:
                     data = response.json()
-                    if "choices" in data:
-                        return data["choices"][0]["text"]
-                    return data["text"]
+                    try:
+                        return data["choices"][0]["text"] if "choices" in data else data["text"]
+                    except (KeyError, IndexError, TypeError):
+                        # a well-formed reply that lacks the field will not gain it on retry
+                        raise BackendError(
+                            "HTTP 200 body has neither choices[0].text nor text: "
+                            f"{response.text[:200]}"
+                        ) from None
             except BackendError:
                 raise
             except Exception as exc:  # network / timeout / bad JSON
@@ -225,20 +222,6 @@ def generate(request: GenerationRequest, backend) -> Completion:
     logger.debug("raw response (%.3fs):\n%s", latency, raw)
     text = _truncate_at_stop(raw, request.stop_sequences)
     return Completion(text=text, backend_id=backend.backend_id, cached=False, latency=latency)
-
-
-def write_atomic(path, chunks) -> None:
-    """Write the text chunks to `path` through a temp file in its directory
-    and an atomic rename, so `path` holds its old bytes or all the new ones."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 class CompletionCache:

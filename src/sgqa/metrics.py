@@ -14,7 +14,7 @@ import math
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
 _PUNCT = set(string.punctuation)
@@ -86,16 +86,14 @@ def answer_score(prediction: str, gold: str) -> AnswerScore:
     return AnswerScore(em=em, f1=f1, precision=precision, recall=recall)
 
 
-def aggregate_scores(scores: list[AnswerScore]) -> AnswerScore:
-    """Arithmetic field-wise mean; per-question EM values average to a rate."""
+def aggregate_scores(scores: list[AnswerScore] | list[RougeScore]):
+    """Arithmetic field-wise mean of AnswerScores or of RougeScores;
+    per-question EM values average to a rate."""
     if not scores:
         raise ValueError("cannot aggregate an empty score list")
     n = len(scores)
-    return AnswerScore(
-        em=sum(s.em for s in scores) / n,
-        f1=sum(s.f1 for s in scores) / n,
-        precision=sum(s.precision for s in scores) / n,
-        recall=sum(s.recall for s in scores) / n,
+    return type(scores[0])(
+        **{f.name: sum(getattr(s, f.name) for s in scores) / n for f in fields(scores[0])}
     )
 
 

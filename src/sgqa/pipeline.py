@@ -4,7 +4,9 @@ Stages are idempotent: completions are cached on disk, so re-running (or
 resuming after a kill) recomputes outputs byte-identically without repeat
 backend calls. Resume comes from that cache alone. Each stage writes its run
 manifest twice, at its start and at its end; a stage killed in between leaves
-the manifest of the start. Output files are written whole or not at all. The
+the manifest of the start. Every output file (graphs, predictions, grounding
+reports and their HTML pages, metric tables, metrics.json, the manifest) is
+written through `jsonl`, so it is whole or unchanged, never truncated. The
 experiment matrix (4 prompt variants x 2 settings) is purely configuration.
 """
 
@@ -21,6 +23,7 @@ from pathlib import Path
 
 from . import chain as chain_mod
 from . import corpus, graph as graph_mod, grounding, metrics, prompts
+from .jsonl import read_jsonl, write_atomic, write_jsonl
 from .llm import (
     CompletionCache,
     HTTPBackend,
@@ -28,7 +31,6 @@ from .llm import (
     cached_generate,
     extraction_request,
     qa_request,
-    write_atomic,
 )
 from .prompts import PromptVariant, Setting
 
@@ -209,10 +211,6 @@ def _map_records(config: RunConfig, records, worker):
         return list(pool.map(worker, records))
 
 
-def _jsonl(rows):
-    return (json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
-
-
 def _record_outcomes(manifest: RunManifest, records, outcomes, status: str):
     """Record each worker's (output, failure reason) outcome and write the
     manifest once for the stage."""
@@ -264,22 +262,22 @@ def run_extract(config: RunConfig) -> Path:
 
     outcomes = _map_records(config, records, worker)
     graphs_path = out_dir / "graphs.jsonl"
-    write_atomic(graphs_path, _jsonl(row for rows, _ in outcomes for row in rows or ()))
+    write_jsonl(graphs_path, (row for rows, _ in outcomes for row in rows or ()))
     _record_outcomes(manifest, records, outcomes, "extracted")
     return graphs_path
 
 
 def load_graphs(path) -> dict[str, dict[int, graph_mod.SemanticGraph]]:
     graphs: dict[str, dict[int, graph_mod.SemanticGraph]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            graphs.setdefault(row["question_id"], {})[row["paragraph_index"]] = (
-                graph_mod.graph_from_dict(row["graph"])
+    for line_no, row in read_jsonl(path):
+        by_index = graphs.setdefault(row["question_id"], {})
+        index = row["paragraph_index"]
+        if index in by_index:
+            raise ValueError(
+                f"{path}:{line_no}: duplicate (question_id, paragraph_index) "
+                f"({row['question_id']!r}, {index})"
             )
+        by_index[index] = graph_mod.graph_from_dict(row["graph"])
     return graphs
 
 
@@ -351,50 +349,39 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
 
     outcomes = _map_records(config, records, worker)
     predictions_path = out_dir / "predictions.jsonl"
-    write_atomic(predictions_path, _jsonl(row for row, _ in outcomes if row is not None))
+    write_jsonl(predictions_path, (row for row, _ in outcomes if row is not None))
     _record_outcomes(manifest, records, outcomes, "answered")
     return predictions_path
 
 
 def read_predictions(paths) -> list[dict]:
-    rows = []
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
-    return rows
+    return [row for path in paths for _, row in read_jsonl(path)]
 
 
-def _read_keyed_jsonl(path, value_field: str) -> dict[str, object]:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                row = json.loads(line)
-                out[row["question_id"]] = row[value_field]
-    return out
-
-
-def _write_csv(path, header: list[str], rows: list[list]):
+def _write_table(out_dir: Path, stem: str, header: list[str], rows: list[list],
+                 markdown: bool = True):
+    """Write one table as <stem>.csv and, when `markdown`, as <stem>.md."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
-
-
-def _markdown_table(header: list[str], rows: list[list]) -> str:
-    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    return "\n".join(lines) + "\n"
+    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+    write_atomic(out_dir / f"{stem}.csv", [buffer.getvalue()])
+    if markdown:
+        lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
+        write_atomic(out_dir / f"{stem}.md", ["\n".join(lines) + "\n"])
 
 
 def _fmt(value) -> str:
     return "" if value is None else f"{value:.4f}"
+
+
+def _aggregate(groups: dict[str, list]) -> tuple[dict, list[list]]:
+    """Each group's field-wise mean scores and count, and its table row."""
+    aggregates, rows = {}, []
+    for group in sorted(groups):
+        mean = dataclasses.asdict(metrics.aggregate_scores(groups[group]))
+        aggregates[group] = {**mean, "n": len(groups[group])}
+        rows.append([group, *map(_fmt, mean.values())])
+    return aggregates, rows
 
 
 def run_evaluate(
@@ -408,6 +395,7 @@ def run_evaluate(
 
     Returns the full report dict (also written as metrics.json). Predictions
     whose question id is not in the dataset are excluded with a warning.
+    Nothing is written until the report has serialised.
     """
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -432,27 +420,14 @@ def run_evaluate(
             [row["question_id"], row["variant"], row["setting"],
              _fmt(score.em), _fmt(score.f1), _fmt(score.precision), _fmt(score.recall)]
         )
-    _write_csv(
-        out_dir / "answer_scores.csv",
-        ["question_id", "variant", "setting", *ANSWER_COLUMNS],
-        per_question_rows,
-    )
+    tables = [
+        ("answer_scores", ["question_id", "variant", "setting", *ANSWER_COLUMNS],
+         per_question_rows, False),
+    ]
 
-    aggregates = {}
-    aggregate_rows = []
-    for group in sorted(groups):
-        agg = metrics.aggregate_scores(groups[group])
-        aggregates[group] = {
-            "em": agg.em, "f1": agg.f1, "precision": agg.precision, "recall": agg.recall,
-            "n": len(groups[group]),
-        }
-        aggregate_rows.append(
-            [group, _fmt(agg.em), _fmt(agg.f1), _fmt(agg.precision), _fmt(agg.recall)]
-        )
-    header = ["method", "EM", "F1", "Precision", "Recall"]
-    _write_csv(out_dir / "answer_aggregate.csv", header, aggregate_rows)
-    (out_dir / "answer_aggregate.md").write_text(
-        _markdown_table(header, aggregate_rows), encoding="utf-8"
+    aggregates, aggregate_rows = _aggregate(groups)
+    tables.append(
+        ("answer_aggregate", ["method", "EM", "F1", "Precision", "Recall"], aggregate_rows, True)
     )
 
     report: dict = {"answer": {"aggregates": aggregates}}
@@ -473,31 +448,14 @@ def run_evaluate(
                 [row["question_id"], row["variant"],
                  _fmt(rouge.rouge1), _fmt(rouge.rouge2), _fmt(rouge.rougeL)]
             )
-        _write_csv(
-            out_dir / "chain_scores.csv",
-            ["question_id", "variant", *ROUGE_COLUMNS],
-            chain_rows,
+        tables.append(
+            ("chain_scores", ["question_id", "variant", *ROUGE_COLUMNS], chain_rows, False)
         )
-        chain_aggregates = {}
-        chain_agg_rows = []
-        for group in sorted(chain_groups):
-            scores = chain_groups[group]
-            n = len(scores)
-            chain_aggregates[group] = {
-                "rouge1": sum(s.rouge1 for s in scores) / n,
-                "rouge2": sum(s.rouge2 for s in scores) / n,
-                "rougeL": sum(s.rougeL for s in scores) / n,
-                "bertscore": None,  # reserved for an embedding-based metric
-                "n": n,
-            }
-            agg = chain_aggregates[group]
-            chain_agg_rows.append(
-                [group, _fmt(agg["rouge1"]), _fmt(agg["rouge2"]), _fmt(agg["rougeL"])]
-            )
-        chain_header = ["method", "ROUGE-1", "ROUGE-2", "ROUGE-L"]
-        _write_csv(out_dir / "chain_aggregate.csv", chain_header, chain_agg_rows)
-        (out_dir / "chain_aggregate.md").write_text(
-            _markdown_table(chain_header, chain_agg_rows), encoding="utf-8"
+        chain_aggregates, chain_agg_rows = _aggregate(chain_groups)
+        for agg in chain_aggregates.values():
+            agg["bertscore"] = None  # reserved for an embedding-based metric
+        tables.append(
+            ("chain_aggregate", ["method", "ROUGE-1", "ROUGE-2", "ROUGE-L"], chain_agg_rows, True)
         )
         report["chain"] = {"aggregates": chain_aggregates}
 
@@ -521,16 +479,15 @@ def run_evaluate(
                 logger.warning("correlation undefined for %s: %s", column, exc)
                 correlation_report[column] = {"rho": None, "tau": None, "n": len(labelled)}
                 correlation_rows.append([column, "undefined", "undefined", len(labelled)])
-        corr_header = ["metric", "spearman_rho", "kendall_tau", "n"]
-        _write_csv(out_dir / "correlations.csv", corr_header, correlation_rows)
-        (out_dir / "correlations.md").write_text(
-            _markdown_table(corr_header, correlation_rows), encoding="utf-8"
+        tables.append(
+            ("correlations", ["metric", "spearman_rho", "kendall_tau", "n"], correlation_rows, True)
         )
         report["correlations"] = correlation_report
 
-    with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    for table in tables:
+        _write_table(out_dir, *table)
+    write_atomic(out_dir / "metrics.json", [text])
     return report
 
 
@@ -543,14 +500,10 @@ def run_ground(graphs_path, records: list[corpus.QuestionRecord], output_path,
     if html_root:
         html_root.mkdir(parents=True, exist_ok=True)
     count = 0
-    with open(graphs_path, encoding="utf-8") as fh, open(
-        output_path, "w", encoding="utf-8"
-    ) as out:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
+
+    def reports():
+        nonlocal count
+        for _, row in read_jsonl(graphs_path):
             record = by_id.get(row["question_id"])
             if record is None:
                 logger.warning("graph for unknown question id %r skipped", row["question_id"])
@@ -563,24 +516,25 @@ def run_ground(graphs_path, records: list[corpus.QuestionRecord], output_path,
             paragraph = paragraphs[index]
             g = graph_mod.graph_from_dict(row["graph"])
             report = grounding.grounding_report(g, paragraph)
-            payload = {
+            yield {
                 "question_id": record.id,
                 "paragraph_index": index,
                 **grounding.report_to_dict(report),
             }
-            out.write(json.dumps(payload, ensure_ascii=False) + "\n")
             if html_root:
                 page = grounding.render_highlights(paragraph, report, format="html")
-                (html_root / f"{record.id}_{index}.html").write_text(page, encoding="utf-8")
+                write_atomic(html_root / f"{record.id}_{index}.html", [page])
             count += 1
+
+    write_jsonl(output_path, reports())
     return count
 
 
 def read_labels(path) -> dict[str, int]:
     """JSONL of {question_id, label} with 0/1 human correctness labels."""
-    return {qid: int(v) for qid, v in _read_keyed_jsonl(path, "label").items()}
+    return {row["question_id"]: int(row["label"]) for _, row in read_jsonl(path)}
 
 
 def read_reference_chains(path) -> dict[str, str]:
     """JSONL of {question_id, chain} reference reasoning chains."""
-    return {qid: str(v) for qid, v in _read_keyed_jsonl(path, "chain").items()}
+    return {row["question_id"]: str(row["chain"]) for _, row in read_jsonl(path)}

@@ -8,7 +8,6 @@ inputs give byte-identical text, hashed into `prompt_hash`.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
@@ -16,6 +15,7 @@ from importlib import resources
 
 from .corpus import Paragraph
 from .graph import GraphVariant, SemanticGraph, serialize_graph
+from .jsonl import read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -244,23 +244,18 @@ def qa_prompt(
 def load_demonstrations(path) -> list[Demonstration]:
     """Load demonstrations from a JSONL file of {kind, input_text, output_text, id}."""
     demos = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            try:
-                demos.append(
-                    Demonstration(
-                        kind=raw["kind"],
-                        input_text=raw["input_text"],
-                        output_text=raw["output_text"],
-                        id=raw["id"],
-                    )
+    for line_no, raw in read_jsonl(path):
+        try:
+            demos.append(
+                Demonstration(
+                    kind=raw["kind"],
+                    input_text=raw["input_text"],
+                    output_text=raw["output_text"],
+                    id=raw["id"],
                 )
-            except (KeyError, ValueError) as exc:
-                raise ConfigurationError(f"{path}:{line_no}: bad demonstration: {exc}") from exc
+            )
+        except (KeyError, ValueError) as exc:
+            raise ConfigurationError(f"{path}:{line_no}: bad demonstration: {exc}") from exc
     return demos
 
 

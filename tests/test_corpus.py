@@ -42,6 +42,15 @@ def test_load_dataset_missing_supporting_facts(tmp_path):
         load_dataset(path, "hotpotqa")
 
 
+def test_load_dataset_duplicate_id_names_both_records(tmp_path):
+    record = {"_id": "x", "question": "q?", "answer": "a", "supporting_facts": [],
+              "context": []}
+    path = write_json(tmp_path / "dup.json", [record, {**record, "_id": "y"}, record])
+    with pytest.raises(DatasetSchemaError,
+                       match=r"record 2: bad field '_id' \('x' repeats record 0\)"):
+        load_dataset(path, "hotpotqa")
+
+
 def test_load_dataset_malformed_json_reports_offset(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('[{"_id": "x", }]', encoding="utf-8")

@@ -145,6 +145,15 @@ def test_render_html_golden(alder_graph, alder_paragraph):
     assert page == (GOLDEN / "highlight.html").read_text(encoding="utf-8")
 
 
+def test_render_html_nested_spans_log_no_warning(alder_graph, alder_paragraph, caplog):
+    report = grounding_report(alder_graph, alder_paragraph)
+    with caplog.at_level("DEBUG", logger="sgqa.grounding"):
+        page = render_highlights(alder_paragraph, report, format="html")
+    assert "<!-- 2 overlapping span(s) dropped -->" in page
+    assert "dropped 2 overlapping span(s)" in caplog.text
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+
 def test_render_html_single_entity_marker():
     paragraph = Paragraph("T", ("Manchester is a city.",))
     graph = entities_graph("T", [Entity("Manchester")])

@@ -235,3 +235,15 @@ def test_http_backend_client_error_not_retried():
     with pytest.raises(BackendError, match="401"):
         backend.complete(make_request())
     assert len(session.requests) == 1
+
+
+@pytest.mark.parametrize("payload", [{"choices": [{}]}, {"choices": []}, {"result": "x"}, None])
+def test_http_backend_malformed_200_fails_fast(monkeypatch, payload):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    session = StubSession([StubResponse(200, payload)] * 3)
+    backend = HTTPBackend("http://api.test", session=session, api_key="k")
+    with pytest.raises(BackendError, match=r"neither choices\[0\]\.text nor text"):
+        backend.complete(make_request())
+    assert len(session.requests) == 1
+    assert sleeps == []

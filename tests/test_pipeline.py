@@ -1,10 +1,12 @@
 import json
 import os
+import re
 import threading
 from pathlib import Path
 
 import pytest
 
+import sgqa
 from sgqa import cli, corpus, pipeline
 from sgqa.llm import CompletionCache, ReplayBackend, request_key
 from sgqa.pipeline import RunConfig, RunManifest, UsageError
@@ -115,6 +117,15 @@ def test_run_answer_records_fallback_flag(tmp_path):
     flagged = [row for row in rows if row["flags"]]
     assert [row["question_id"] for row in flagged] == ["e2e-05"]
     assert flagged[0]["flags"] == ["no-answer-pattern"]
+
+
+def test_load_graphs_rejects_duplicate_paragraph(tmp_path):
+    graphs_path = pipeline.run_extract(make_config(tmp_path))
+    lines = graphs_path.read_text(encoding="utf-8").splitlines()
+    graphs_path.write_text("\n".join([*lines, lines[3]]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"graphs.jsonl:{len(lines) + 1}: duplicate "
+                                         r"\(question_id, paragraph_index\)"):
+        pipeline.load_graphs(graphs_path)
 
 
 def test_run_answer_missing_graphs_file(tmp_path):
@@ -260,7 +271,17 @@ def test_run_extract_writes_manifest_twice_and_records_worker_failures(
     ]
 
 
-@pytest.mark.parametrize("run", [pipeline.run_extract, pipeline.run_answer])
+def ground(config):
+    out_dir = Path(config.output_dir)
+    records = corpus.load_dataset(config.dataset_path)
+    pipeline.run_ground(out_dir / "graphs.jsonl", records, out_dir / "grounding.jsonl",
+                        html_dir=out_dir / "html")
+    return out_dir / "grounding.jsonl"
+
+
+@pytest.mark.parametrize(
+    "run", [pipeline.run_extract, pipeline.run_answer, pytest.param(ground, id="run_ground")]
+)
 def test_output_write_failure_keeps_previous_file(tmp_path, monkeypatch, run):
     config = make_config(tmp_path)
     pipeline.run_extract(config)
@@ -285,7 +306,25 @@ def test_output_write_failure_keeps_previous_file(tmp_path, monkeypatch, run):
 
     assert path.read_bytes() == before
     assert (out_dir / "manifest.json").read_bytes() == manifest_before
-    assert not list(out_dir.glob("*.tmp"))
+    assert not list(out_dir.rglob("*.tmp"))
+
+
+# open(...) with a writing mode, or a pathlib in-place write
+IN_PLACE_WRITE = re.compile(
+    r"""\bopen\([^)]*["'](?=[rwxabt+]*[wax+])[rwxabt+]+["']|\.write_text\(|\.write_bytes\("""
+)
+
+
+def test_only_the_jsonl_module_writes_files():
+    offenders = []
+    for path in sorted(Path(sgqa.__file__).parent.glob("*.py")):
+        if path.name == "jsonl.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        for match in IN_PLACE_WRITE.finditer(text):
+            line_no = text.count("\n", 0, match.start()) + 1
+            offenders.append(f"{path.name}:{line_no}: {match.group()}")
+    assert offenders == []
 
 
 # --------------------------------------------------------------- evaluate
@@ -349,6 +388,42 @@ def test_run_evaluate_constant_labels_flagged(tmp_path, records):
     assert report["correlations"]["recall"]["rho"] is None
     content = (tmp_path / "eval" / "correlations.csv").read_text()
     assert "undefined" in content
+
+
+def test_run_evaluate_report_failure_keeps_previous_files(tmp_path, records, monkeypatch):
+    def predictions(answer_of):
+        return [
+            {"question_id": r.id, "variant": "base", "setting": "cot", "prompt_hash": "x",
+             "completion": answer_of(r), "chain_sentences": [], "answer": answer_of(r),
+             "flags": []}
+            for r in records
+        ]
+
+    labels = pipeline.read_labels(E2E / "labels.jsonl")
+    references = pipeline.read_reference_chains(E2E / "references.jsonl")
+    out_dir = tmp_path / "eval"
+    pipeline.run_evaluate(predictions(lambda r: r.gold_answer), records, out_dir,
+                          human_labels=labels, reference_chains=references)
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    assert sorted(before) == [
+        "answer_aggregate.csv", "answer_aggregate.md", "answer_scores.csv",
+        "chain_aggregate.csv", "chain_aggregate.md", "chain_scores.csv",
+        "correlations.csv", "correlations.md", "metrics.json",
+    ]
+
+    dumps = json.dumps
+
+    def failing_dumps(obj, *args, **kwargs):
+        if isinstance(obj, dict) and "correlations" in obj:
+            raise RuntimeError("serialisation failed")
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    with pytest.raises(RuntimeError, match="serialisation failed"):
+        pipeline.run_evaluate(predictions(lambda r: "a wrong answer"), records, out_dir,
+                              human_labels=labels, reference_chains=references)
+
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
 
 
 def test_run_ground_reports(tmp_path, records):
@@ -462,6 +537,23 @@ def test_cli_failure_exit_code(tmp_path):
     ]
     assert run_cli(args) == 1
     assert run_cli(args + ["--allow-partial"]) == 0
+
+
+def test_cli_evaluate_names_malformed_labels_line(tmp_path, capsys):
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(json.dumps(
+        {"question_id": "e2e-01", "variant": "base", "setting": "cot", "prompt_hash": "x",
+         "completion": "Stange", "chain_sentences": [], "answer": "Stange", "flags": []}
+    ) + "\n", encoding="utf-8")
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text('{"question_id": "e2e-01", "label": 1}\n{"question_id": \n',
+                      encoding="utf-8")
+    code = run_cli([
+        "evaluate", "--dataset", E2E / "dataset.json", "--predictions", predictions,
+        "--labels", labels, "--output-dir", tmp_path / "eval",
+    ])
+    assert code == 2
+    assert f"{labels}:2: malformed JSON" in capsys.readouterr().err
 
 
 def test_cli_extract_base_usage_error(tmp_path):
