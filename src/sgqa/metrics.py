@@ -6,6 +6,19 @@ exact match plus multiset token precision/recall/F1. Chain ROUGE keeps
 articles and stopwords because reasoning sentences are full prose; only
 lowercasing and punctuation stripping apply there. Correlations are
 Spearman rho (average ranks) and Kendall tau-b (tie-corrected).
+
+The algorithms are exact, so every score equals its textbook definition bit
+for bit:
+
+- Kendall tau-b uses Knight's method (Knight 1966, JASA 61:436), O(n log n).
+  Sorting the pairs by (x, y) leaves the discordant pairs as the inversions
+  of the y sequence, counted with a Fenwick tree. Then
+  C - D = n0 - ties_x - ties_y + ties_xy - 2 * D, the same integer the
+  pairwise definition gives, divided by the same tie-corrected denominator.
+- ROUGE-L takes the LCS length from the bit-parallel recurrence of Allison &
+  Dix (1986) in Hyyro's form (2004): O(len(candidate) * len(reference) / w)
+  word operations on Python ints, the same length as the quadratic DP.
+- ROUGE-1/2 tokenize each text once per pair and count n-gram multisets.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
-_PUNCT = set(string.punctuation)
+_DELETE_PUNCT = str.maketrans("", "", string.punctuation)
 
 
 class ConstantSeriesError(ValueError):
@@ -48,9 +61,7 @@ class CorrelationResult:
 
 def normalize_answer(text: str) -> str:
     """Lowercase, strip punctuation, drop articles, collapse whitespace."""
-    text = text.lower()
-    text = "".join(ch for ch in text if ch not in _PUNCT)
-    text = _ARTICLES.sub(" ", text)
+    text = _ARTICLES.sub(" ", text.lower().translate(_DELETE_PUNCT))
     return " ".join(text.split())
 
 
@@ -61,9 +72,7 @@ def answer_tokens(text: str) -> list[str]:
 def chain_tokenize(text: str) -> list[str]:
     """Tokenization for chain ROUGE: lowercase and strip punctuation but keep
     articles, since reasoning sentences are scored as prose."""
-    text = text.lower()
-    text = "".join(ch for ch in text if ch not in _PUNCT)
-    return text.split()
+    return text.lower().translate(_DELETE_PUNCT).split()
 
 
 def _prf(overlap: int, pred_len: int, gold_len: int) -> tuple[float, float, float]:
@@ -78,9 +87,11 @@ def _prf(overlap: int, pred_len: int, gold_len: int) -> tuple[float, float, floa
 
 def answer_score(prediction: str, gold: str) -> AnswerScore:
     """EM plus multiset token precision/recall/F1 on normalized text."""
-    pred_tokens = answer_tokens(prediction)
-    gold_tokens = answer_tokens(gold)
-    em = float(normalize_answer(prediction) == normalize_answer(gold))
+    pred_text = normalize_answer(prediction)
+    gold_text = normalize_answer(gold)
+    pred_tokens = pred_text.split()
+    gold_tokens = gold_text.split()
+    em = float(pred_text == gold_text)
     overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
     precision, recall, f1 = _prf(overlap, len(pred_tokens), len(gold_tokens))
     return AnswerScore(em=em, f1=f1, precision=precision, recall=recall)
@@ -98,61 +109,61 @@ def aggregate_scores(scores: list[AnswerScore] | list[RougeScore]):
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(tokens) if n == 1 else Counter(zip(tokens, tokens[1:]))
+
+
+def _rouge_n_tokens(cand: list[str], ref: list[str], n: int) -> float:
+    total_cand = len(cand) - n + 1
+    total_ref = len(ref) - n + 1
+    if total_cand <= 0 or total_ref <= 0:
+        return 0.0
+    cand_counts = _ngrams(cand, n)
+    ref_counts = _ngrams(ref, n)
+    overlap = sum(min(c, ref_counts[g]) for g, c in cand_counts.items() if g in ref_counts)
+    return _prf(overlap, total_cand, total_ref)[2]
 
 
 def rouge_n(candidate: str, reference: str, n: int) -> float:
     """F-measure of n-gram multiset overlap (n in {1, 2})."""
     if n not in (1, 2):
         raise ValueError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    cand = _ngrams(chain_tokenize(candidate), n)
-    ref = _ngrams(chain_tokenize(reference), n)
-    total_cand = sum(cand.values())
-    total_ref = sum(ref.values())
-    if total_cand == 0 or total_ref == 0:
-        return 0.0
-    overlap = sum((cand & ref).values())
-    if overlap == 0:
-        return 0.0
-    precision = overlap / total_cand
-    recall = overlap / total_ref
-    return 2 * precision * recall / (precision + recall)
+    return _rouge_n_tokens(chain_tokenize(candidate), chain_tokenize(reference), n)
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        curr = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                curr[j] = prev[j - 1] + 1
-            else:
-                curr[j] = max(prev[j], curr[j - 1])
-        prev = curr
-    return prev[-1]
+    """LCS length by the bit-parallel recurrence: bit j of `v` is 0 where the
+    LCS of the prefix of `a` seen so far and b[:j + 1] grows by one."""
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        mask = masks.get(token)
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
+
+
+def _rouge_l_tokens(cand: list[str], ref: list[str]) -> float:
+    if not cand or not ref:
+        return 0.0
+    return _prf(_lcs_length(cand, ref), len(cand), len(ref))[2]
 
 
 def rouge_l(candidate: str, reference: str) -> float:
     """LCS-based F-measure over token sequences."""
-    cand = chain_tokenize(candidate)
-    ref = chain_tokenize(reference)
-    if not cand or not ref:
-        return 0.0
-    lcs = _lcs_length(cand, ref)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(cand)
-    recall = lcs / len(ref)
-    return 2 * precision * recall / (precision + recall)
+    return _rouge_l_tokens(chain_tokenize(candidate), chain_tokenize(reference))
 
 
 def rouge_scores(candidate: str, reference: str) -> RougeScore:
+    cand = chain_tokenize(candidate)
+    ref = chain_tokenize(reference)
     return RougeScore(
-        rouge1=rouge_n(candidate, reference, 1),
-        rouge2=rouge_n(candidate, reference, 2),
-        rougeL=rouge_l(candidate, reference),
+        rouge1=_rouge_n_tokens(cand, ref, 1),
+        rouge2=_rouge_n_tokens(cand, ref, 2),
+        rougeL=_rouge_l_tokens(cand, ref),
     )
 
 
@@ -161,6 +172,8 @@ def _check_series(xs: list[float], ys: list[float]):
         raise ValueError(f"series length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise ValueError("correlation needs at least 2 points")
+    if any(map(math.isnan, xs)) or any(map(math.isnan, ys)):
+        raise ValueError("correlation is undefined for NaN values")
 
 
 def average_ranks(xs: list[float]) -> list[float]:
@@ -197,25 +210,42 @@ def spearman(xs: list[float], ys: list[float]) -> float:
     return _pearson(average_ranks(xs), average_ranks(ys))
 
 
+def _tied_pairs(values) -> int:
+    return sum(c * (c - 1) // 2 for c in Counter(values).values())
+
+
+def _inversions(ranks: list[int], size: int) -> int:
+    """Pairs i < j with ranks[i] > ranks[j]; ranks lie in 1..size. A Fenwick
+    tree counts the earlier ranks <= each rank in O(log size)."""
+    tree = [0] * (size + 1)
+    inversions = 0
+    for seen, rank in enumerate(ranks):
+        inversions += seen
+        i = rank
+        while i:
+            inversions -= tree[i]
+            i &= i - 1
+        i = rank
+        while i <= size:
+            tree[i] += 1
+            i += i & -i
+    return inversions
+
+
 def kendall_tau(xs: list[float], ys: list[float]) -> float:
     """Kendall tau-b: (concordant - discordant) / sqrt((n0-n1)(n0-n2))."""
     _check_series(xs, ys)
     n = len(xs)
-    concordant = discordant = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = (xs[i] - xs[j]) * (ys[i] - ys[j])
-            if s > 0:
-                concordant += 1
-            elif s < 0:
-                discordant += 1
+    y_rank = {y: r for r, y in enumerate(sorted(set(ys)), start=1)}
+    pairs = sorted(zip(xs, (y_rank[y] for y in ys)))
+    discordant = _inversions([r for _, r in pairs], len(y_rank))
     n0 = n * (n - 1) // 2
-    ties_x = sum(c * (c - 1) // 2 for c in Counter(xs).values())
-    ties_y = sum(c * (c - 1) // 2 for c in Counter(ys).values())
+    ties_x = _tied_pairs(xs)
+    ties_y = _tied_pairs(ys)
     denom = math.sqrt((n0 - ties_x) * (n0 - ties_y))
     if denom == 0:
         raise ConstantSeriesError("constant series: correlation undefined")
-    return (concordant - discordant) / denom
+    return (n0 - ties_x - ties_y + _tied_pairs(pairs) - 2 * discordant) / denom
 
 
 def correlations(xs: list[float], ys: list[float]) -> CorrelationResult:

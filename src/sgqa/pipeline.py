@@ -354,8 +354,28 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
     return predictions_path
 
 
+def _require_fields(path, line_no: int, row, names) -> None:
+    for name in names:
+        if not isinstance(row, dict) or name not in row:
+            raise ValueError(f"{path}:{line_no}: missing field {name!r}")
+
+
 def read_predictions(paths) -> list[dict]:
-    return [row for path in paths for _, row in read_jsonl(path)]
+    """Prediction rows of all the JSONL files. A row without a field that
+    run_evaluate reads, or with a (variant, setting, question_id) that an
+    earlier row of any of the files has, is rejected naming its file and line."""
+    rows, first_at = [], {}
+    for path in paths:
+        for line_no, row in read_jsonl(path):
+            _require_fields(path, line_no, row,
+                            ("question_id", "variant", "setting", "answer", "completion"))
+            key = (row["variant"], row["setting"], row["question_id"])
+            if key in first_at:
+                raise ValueError(f"{path}:{line_no}: duplicate prediction {key!r} "
+                                 f"(first at {first_at[key]})")
+            first_at[key] = f"{path}:{line_no}"
+            rows.append(row)
+    return rows
 
 
 def _write_table(out_dir: Path, stem: str, header: list[str], rows: list[list],
@@ -531,8 +551,21 @@ def run_ground(graphs_path, records: list[corpus.QuestionRecord], output_path,
 
 
 def read_labels(path) -> dict[str, int]:
-    """JSONL of {question_id, label} with 0/1 human correctness labels."""
-    return {row["question_id"]: int(row["label"]) for _, row in read_jsonl(path)}
+    """JSONL of {question_id, label} with 0/1 human correctness labels. A row
+    without either field, with another label, or repeating a question id is
+    rejected naming its line."""
+    labels, first_line = {}, {}
+    for line_no, row in read_jsonl(path):
+        _require_fields(path, line_no, row, ("question_id", "label"))
+        question_id, label = row["question_id"], row["label"]
+        if label not in (0, 1):
+            raise ValueError(f"{path}:{line_no}: label must be 0 or 1, got {label!r}")
+        if question_id in first_line:
+            raise ValueError(f"{path}:{line_no}: duplicate question_id {question_id!r} "
+                             f"(first at {path}:{first_line[question_id]})")
+        first_line[question_id] = line_no
+        labels[question_id] = int(label)
+    return labels
 
 
 def read_reference_chains(path) -> dict[str, str]:

@@ -226,6 +226,40 @@ def test_criterion_3_correlation_oracle():
     report("criterion-3", f"(1000 vectors with and without ties, {elapsed:.2f}s)")
 
 
+def _tau_series(rng, n):
+    """One pair of series of length n, of a randomly chosen shape."""
+    shape = rng.choice(["continuous", "heavy ties", "x tied in y groups", "reversed",
+                        "constant blocks"])
+    if shape == "continuous":
+        return [rng.random() for _ in range(n)], [rng.random() for _ in range(n)]
+    if shape == "heavy ties":
+        return ([float(rng.randint(0, 3)) for _ in range(n)],
+                [float(rng.randint(0, rng.choice([1, 3]))) for _ in range(n)])
+    if shape == "x tied in y groups":
+        ys = [float(rng.randint(0, 4)) for _ in range(n)]
+        x_of = {y: rng.random() for y in ys}
+        return [x_of[y] for y in ys], ys
+    if shape == "reversed":
+        xs = ([float(rng.randint(0, n // 2)) for _ in range(n)] if rng.random() < 0.5
+              else [rng.random() for _ in range(n)])
+        return xs, [-x for x in xs]
+    block_x, block_y = rng.randint(1, 50), rng.randint(1, 50)
+    return [float(i // block_x) for i in range(n)], [float((n - i) // block_y) for i in range(n)]
+
+
+def test_kendall_tau_equals_oracle_at_large_n():
+    """The O(n log n) tau-b gives the pairwise definition's float exactly."""
+    rng = random.Random(304)
+    sizes = [500] * 10 + [int(500 ** rng.random()) + 2 for _ in range(190)]
+    for n in sizes:
+        xs, ys = _tau_series(rng, n)
+        if len(set(xs)) < 2 or len(set(ys)) < 2:
+            with pytest.raises(ValueError):
+                kendall_tau(xs, ys)
+            continue
+        assert kendall_tau(xs, ys) == _oracle_tau_b(xs, ys), n
+
+
 # ---------------------------------------------------------------------------
 # 4. Direction of metric-vs-human correlations (recall beats precision)
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 import scipy.stats
@@ -18,6 +19,7 @@ from sgqa.metrics import (
     normalize_answer,
     rouge_l,
     rouge_n,
+    rouge_scores,
     spearman,
 )
 
@@ -207,6 +209,42 @@ def test_rouge_l_matches_brute_force_oracle():
         assert rouge_l(" ".join(cand), " ".join(ref)) == expected
 
 
+def _dp_lcs(a, b):
+    """The quadratic LCS table, row by row."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        curr = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            curr[j] = prev[j - 1] + 1 if x == y else max(prev[j], curr[j - 1])
+        prev = curr
+    return prev[-1]
+
+
+def test_rouge_l_matches_dp_oracle_across_word_boundaries():
+    # 65-300 tokens cross the 64-bit word boundary; 3 words repeat often.
+    rng = random.Random(43)
+    vocabulary = ["a", "b", "c"]
+    for _ in range(40):
+        cand = [rng.choice(vocabulary) for _ in range(rng.randint(65, 300))]
+        ref = [rng.choice(vocabulary) for _ in range(rng.randint(65, 300))]
+        lcs = _dp_lcs(cand, ref)
+        p = lcs / len(cand)
+        r = lcs / len(ref)
+        assert rouge_l(" ".join(cand), " ".join(ref)) == 2 * p * r / (p + r)
+
+
+def test_rouge_scores_equal_single_metrics():
+    rng = random.Random(44)
+    vocabulary = ["The", "cat", "sat,", "on", "a", "mat.", "!", "cat's", "x"]
+    for _ in range(300):
+        cand = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(0, 30)))
+        ref = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(0, 30)))
+        score = rouge_scores(cand, ref)
+        assert score.rouge1 == rouge_n(cand, ref, 1)
+        assert score.rouge2 == rouge_n(cand, ref, 2)
+        assert score.rougeL == rouge_l(cand, ref)
+
+
 # --------------------------------------------------------------- correlations
 
 def test_spearman_monotone():
@@ -232,6 +270,11 @@ def test_correlation_errors():
         spearman([1, 1, 1], [1, 2, 3])
     with pytest.raises(ConstantSeriesError):
         kendall_tau([1, 2, 3], [5, 5, 5])
+    for xs, ys in [([1, math.nan, 3], [1, 2, 3]), ([1, 2, 3], [1, 2, math.nan])]:
+        with pytest.raises(ValueError, match="NaN"):
+            kendall_tau(xs, ys)
+        with pytest.raises(ValueError, match="NaN"):
+            spearman(xs, ys)
 
 
 def test_correlations_against_scipy():
@@ -250,6 +293,26 @@ def test_correlations_against_scipy():
         tau, _ = scipy.stats.kendalltau(xs, ys, variant="b")
         assert spearman(xs, ys) == pytest.approx(rho, abs=1e-12)
         assert kendall_tau(xs, ys) == pytest.approx(tau, abs=1e-12)
+
+
+def test_correlations_against_scipy_at_hotpotqa_size():
+    rng = random.Random(8)
+    n = 7405
+    xs = [rng.randint(0, 3) / 3 for _ in range(n)]
+    ys = [float(rng.randint(0, 3)) for _ in range(n)]
+    rho, _ = scipy.stats.spearmanr(xs, ys)
+    tau, _ = scipy.stats.kendalltau(xs, ys, variant="b")
+    assert spearman(xs, ys) == pytest.approx(rho, abs=1e-12)
+    assert kendall_tau(xs, ys) == pytest.approx(tau, abs=1e-12)
+
+
+def test_kendall_tau_scales_to_20000_points():
+    rng = random.Random(9)
+    xs = [rng.random() for _ in range(20_000)]
+    ys = [x + rng.random() for x in xs]
+    start = time.perf_counter()
+    kendall_tau(xs, ys)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_rank_correlations_invariant_under_monotone_transform():

@@ -556,6 +556,50 @@ def test_cli_evaluate_names_malformed_labels_line(tmp_path, capsys):
     assert f"{labels}:2: malformed JSON" in capsys.readouterr().err
 
 
+PREDICTION = {"question_id": "e2e-01", "variant": "base", "setting": "cot", "prompt_hash": "x",
+              "completion": "Stange", "chain_sentences": [], "answer": "Stange", "flags": []}
+
+
+def test_cli_evaluate_names_prediction_without_field(tmp_path, capsys):
+    predictions = tmp_path / "predictions.jsonl"
+    row = {k: v for k, v in PREDICTION.items() if k != "variant"}
+    predictions.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    code = run_cli([
+        "evaluate", "--dataset", E2E / "dataset.json", "--predictions", predictions,
+        "--output-dir", tmp_path / "eval",
+    ])
+    assert code == 2
+    assert f"{predictions}:1: missing field 'variant'" in capsys.readouterr().err
+
+
+def test_read_predictions_rejects_duplicate_across_files(tmp_path):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    other = {**PREDICTION, "setting": "fewshot"}
+    first.write_text(json.dumps(PREDICTION) + "\n", encoding="utf-8")
+    second.write_text(json.dumps(other) + "\n" + json.dumps(PREDICTION) + "\n", encoding="utf-8")
+    assert len(pipeline.read_predictions([second])) == 2
+    with pytest.raises(ValueError) as excinfo:
+        pipeline.read_predictions([first, second])
+    message = str(excinfo.value)
+    assert message.startswith(f"{second}:2: duplicate prediction ('base', 'cot', 'e2e-01')")
+    assert f"{first}:1" in message
+
+
+@pytest.mark.parametrize("lines,error", [
+    (['{"label": 1}'], ":1: missing field 'question_id'"),
+    (['{"question_id": "q1", "label": 1}', '{"question_id": "q2"}'], ":2: missing field 'label'"),
+    (['{"question_id": "q1", "label": 2}'], ":1: label must be 0 or 1, got 2"),
+    (['{"question_id": "q1", "label": 1}', '{"question_id": "q1", "label": 0}'],
+     ":2: duplicate question_id 'q1' (first at {path}:1)"),
+], ids=["no question_id", "no label", "label 2", "repeated question_id"])
+def test_read_labels_rejects_bad_rows(tmp_path, lines, error):
+    path = tmp_path / "labels.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        pipeline.read_labels(path)
+    assert str(excinfo.value) == f"{path}" + error.format(path=path)
+
+
 def test_cli_extract_base_usage_error(tmp_path):
     code = run_cli([
         "extract", "--dataset", E2E / "dataset.json", "--variant", "base",
