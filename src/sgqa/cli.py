@@ -1,9 +1,9 @@
 """Command-line entry points: extract, answer, evaluate, eval-chain,
 correlate, ground, report.
 
-A JSON config file given via --config overrides any flag of the same name
-(dashes become underscores). Exit code is nonzero when any question failed,
-unless --allow-partial is set.
+Each RunConfig field is set by one flag. A JSON file given via --config
+overrides flags by flag or field name (dashes become underscores). Exit code
+is nonzero when a question of the run failed, unless --allow-partial is set.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ logger = logging.getLogger(__name__)
 
 
 def _add_dataset_args(parser):
-    parser.add_argument("--dataset", required=True, help="dataset JSON file")
-    parser.add_argument("--format", default="hotpotqa", choices=corpus.FORMATS)
+    parser.add_argument("--dataset", required=True, dest="dataset_path",
+                        help="dataset JSON file")
+    parser.add_argument("--format", default="hotpotqa", dest="dataset_format",
+                        choices=corpus.FORMATS)
 
 
 def _add_run_args(parser):
@@ -61,26 +63,8 @@ _CONFIG_ALIASES = {
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    kwargs = dict(
-        dataset_path=args.dataset,
-        dataset_format=args.format,
-        split=args.split,
-        seed=args.seed,
-        dev_n=args.dev_n,
-        test_n=args.test_n,
-        variant=args.variant,
-        setting=args.setting,
-        backend=args.backend,
-        model_id=args.model_id,
-        endpoint=args.endpoint,
-        replay_file=args.replay_file,
-        cache_dir=args.cache_dir,
-        demo_dir=args.demo_dir,
-        output_dir=args.output_dir,
-        workers=args.workers,
-        allow_partial=args.allow_partial,
-    )
-    if getattr(args, "config", ""):
+    kwargs = {name: getattr(args, name) for name in RunConfig.__dataclass_fields__}
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             overrides = json.load(fh)
         for key, value in overrides.items():
@@ -118,7 +102,7 @@ def cmd_answer(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    records = corpus.load_dataset(args.dataset, args.format)
+    records = corpus.load_dataset(args.dataset_path, args.dataset_format)
     predictions = pipeline.read_predictions(args.predictions)
     labels = pipeline.read_labels(args.labels) if args.labels else None
     references = (
@@ -131,7 +115,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ground(args) -> int:
-    records = corpus.load_dataset(args.dataset, args.format)
+    records = corpus.load_dataset(args.dataset_path, args.dataset_format)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     html_dir = out / "html" if args.html else None

@@ -60,11 +60,6 @@ class RunConfig:
     replay_file: str = ""
     cache_dir: str = ".sgqa-cache"
     demo_dir: str = ""  # empty: packaged demos
-    extraction_demo_count: int = prompts.DEFAULT_EXTRACTION_DEMOS
-    qa_demo_count: int = prompts.DEFAULT_QA_DEMOS
-    question_prefix: str = prompts.QUESTION_PREFIX
-    block_separator: str = prompts.BLOCK_SEPARATOR
-    max_prompt_chars: int = prompts.MAX_PROMPT_CHARS
     output_dir: str = "runs/run"
     workers: int = 1
     allow_partial: bool = False
@@ -76,13 +71,6 @@ class RunConfig:
             raise UsageError(f"unknown split {self.split!r}")
         if self.backend not in ("replay", "live"):
             raise UsageError(f"unknown backend {self.backend!r}")
-
-    def prompt_config(self) -> prompts.PromptConfig:
-        return prompts.PromptConfig(
-            question_prefix=self.question_prefix,
-            block_separator=self.block_separator,
-            max_chars=self.max_prompt_chars,
-        )
 
     def snapshot(self) -> dict:
         data = dataclasses.asdict(self)
@@ -97,7 +85,8 @@ _STATUS_RANK = {"pending": 0, "extracted": 1, "answered": 2}
 class RunManifest:
     """Per-question status ledger persisted as JSON. Statuses are recorded in
     memory and written by `ensure` and `save`; transitions only move forward
-    (a failed question may be retried on a later run)."""
+    (a failed question may be retried on a later run). The ledger lists the
+    questions of the latest `ensure`, so it describes the latest run."""
 
     def __init__(self, path, config: RunConfig | None = None):
         self.path = Path(path)
@@ -113,8 +102,12 @@ class RunManifest:
             }
 
     def ensure(self, question_ids: list[str]):
-        for qid in question_ids:
-            self._data["questions"].setdefault(qid, {"status": "pending", "reason": None})
+        """Keep only these questions, each with its earlier status, and save."""
+        earlier = self._data["questions"]
+        self._data["questions"] = {
+            qid: earlier.get(qid, {"status": "pending", "reason": None})
+            for qid in question_ids
+        }
         self.save()
 
     def mark(self, question_id: str, status: str, reason: str | None = None):
@@ -163,7 +156,7 @@ def _demo_set(config: RunConfig, kind: str) -> list[prompts.Demonstration]:
     else:
         path = prompts.default_demo_file(kind)
     count = (
-        config.qa_demo_count if kind.startswith("qa") else config.extraction_demo_count
+        prompts.DEFAULT_QA_DEMOS if kind.startswith("qa") else prompts.DEFAULT_EXTRACTION_DEMOS
     )
     return prompts.select_demos(prompts.load_demonstrations(path), kind, count)
 
@@ -175,17 +168,15 @@ def extract_paragraph_graph(
     backend,
     cache: CompletionCache,
     model_id: str,
-    prompt_config: prompts.PromptConfig | None = None,
 ) -> graph_mod.SemanticGraph:
     """Build one paragraph's graph via the variant's prompting recipe."""
-    pconf = prompt_config or prompts.PromptConfig()
     if variant is PromptVariant.SG_ONE:
-        bundle = prompts.joint_graph_prompt(paragraph, demos["joint"], pconf)
+        bundle = prompts.joint_graph_prompt(paragraph, demos["joint"])
         completion = cached_generate(extraction_request(bundle.text, model_id), backend, cache)
         triples, _ = graph_mod.parse_triples(completion.text)
         return graph_mod.joint_graph(paragraph.title, triples)
 
-    bundle = prompts.entity_prompt(paragraph, demos["entity"], pconf)
+    bundle = prompts.entity_prompt(paragraph, demos["entity"])
     completion = cached_generate(extraction_request(bundle.text, model_id), backend, cache)
     entities, _ = graph_mod.parse_entities(completion.text)
 
@@ -197,29 +188,34 @@ def extract_paragraph_graph(
     if not entities:
         logger.warning("no entities extracted for %r; emitting empty graph", paragraph.title)
         return graph_mod.multi_step_graph(paragraph.title, [], [])
-    bundle = prompts.relation_prompt(paragraph, entities, demos["relation"], pconf)
+    bundle = prompts.relation_prompt(paragraph, entities, demos["relation"])
     completion = cached_generate(extraction_request(bundle.text, model_id), backend, cache)
     triples, _ = graph_mod.parse_triples(completion.text, known_entities=entities)
     return graph_mod.multi_step_graph(paragraph.title, entities, triples)
 
 
-def _map_records(config: RunConfig, records, worker):
-    """Run `worker` over records, preserving input order in the results."""
+def _run_stage(config: RunConfig, records, filename: str, status: str, worker) -> Path:
+    """Run one stage: write the manifest, map `worker` over the records in
+    input order, write every row it returns to <output_dir>/<filename>, then
+    mark each record `status` or failed and write the manifest once more. A
+    worker returns (rows, None) or (None, failure reason)."""
+    out_dir = Path(config.output_dir)
+    manifest = RunManifest(out_dir / "manifest.json", config)
+    manifest.ensure([r.id for r in records])
     if config.workers <= 1:
-        return [worker(r) for r in records]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(worker, records))
-
-
-def _record_outcomes(manifest: RunManifest, records, outcomes, status: str):
-    """Record each worker's (output, failure reason) outcome and write the
-    manifest once for the stage."""
+        outcomes = [worker(r) for r in records]
+    else:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            outcomes = list(pool.map(worker, records))
+    path = out_dir / filename
+    write_jsonl(path, (row for rows, _ in outcomes for row in rows or ()))
     for record, (_, failure) in zip(records, outcomes):
         if failure is None:
             manifest.mark(record.id, status)
         else:
             manifest.mark(record.id, "failed", reason=failure)
     manifest.save()
+    return path
 
 
 def run_extract(config: RunConfig) -> Path:
@@ -233,20 +229,13 @@ def run_extract(config: RunConfig) -> Path:
         kind: _demo_set(config, kind)
         for kind in ("entity", "relation", "joint")
     }
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(out_dir / "manifest.json", config)
-    manifest.ensure([r.id for r in records])
-
-    prompt_config = config.prompt_config()
 
     def worker(record: corpus.QuestionRecord):
         rows = []
         try:
             for index, paragraph in enumerate(corpus.gold_paragraphs(record)):
                 g = extract_paragraph_graph(
-                    paragraph, config.variant, demos, backend, cache,
-                    config.model_id, prompt_config,
+                    paragraph, config.variant, demos, backend, cache, config.model_id
                 )
                 rows.append(
                     {
@@ -260,11 +249,7 @@ def run_extract(config: RunConfig) -> Path:
             return None, f"extract: {exc}"
         return rows, None
 
-    outcomes = _map_records(config, records, worker)
-    graphs_path = out_dir / "graphs.jsonl"
-    write_jsonl(graphs_path, (row for rows, _ in outcomes for row in rows or ()))
-    _record_outcomes(manifest, records, outcomes, "extracted")
-    return graphs_path
+    return _run_stage(config, records, "graphs.jsonl", "extracted", worker)
 
 
 def load_graphs(path) -> dict[str, dict[int, graph_mod.SemanticGraph]]:
@@ -286,14 +271,10 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
     records = load_records(config)
     backend = make_backend(config)
     cache = CompletionCache(config.cache_dir)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(out_dir / "manifest.json", config)
-    manifest.ensure([r.id for r in records])
 
     needs_graphs = config.variant is not PromptVariant.BASE
     if needs_graphs:
-        graphs_path = graphs_path or out_dir / "graphs.jsonl"
+        graphs_path = graphs_path or Path(config.output_dir) / "graphs.jsonl"
         if not Path(graphs_path).exists():
             raise UsageError(f"variant {config.variant.value} needs graphs: {graphs_path} missing")
         graphs_by_qid = load_graphs(graphs_path)
@@ -302,7 +283,6 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
 
     kind = "qa_cot" if config.setting is Setting.COT else "qa_fewshot"
     demos = _demo_set(config, kind)
-    prompt_config = config.prompt_config()
 
     def worker(record: corpus.QuestionRecord):
         try:
@@ -315,8 +295,7 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
             else:
                 graphs = []
             bundle = prompts.qa_prompt(
-                paragraphs, graphs, record.question, config.setting, config.variant,
-                demos, prompt_config,
+                paragraphs, graphs, record.question, config.setting, config.variant, demos
             )
             completion = cached_generate(
                 qa_request(bundle.text, config.model_id), backend, cache
@@ -345,13 +324,9 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
         except Exception as exc:
             logger.exception("answering failed for %s", record.id)
             return None, f"answer: {exc}"
-        return row, None
+        return [row], None
 
-    outcomes = _map_records(config, records, worker)
-    predictions_path = out_dir / "predictions.jsonl"
-    write_jsonl(predictions_path, (row for row, _ in outcomes if row is not None))
-    _record_outcomes(manifest, records, outcomes, "answered")
-    return predictions_path
+    return _run_stage(config, records, "predictions.jsonl", "answered", worker)
 
 
 def _require_fields(path, line_no: int, row, names) -> None:
@@ -569,5 +544,15 @@ def read_labels(path) -> dict[str, int]:
 
 
 def read_reference_chains(path) -> dict[str, str]:
-    """JSONL of {question_id, chain} reference reasoning chains."""
-    return {row["question_id"]: str(row["chain"]) for _, row in read_jsonl(path)}
+    """JSONL of {question_id, chain} reference reasoning chains. A row without
+    either field, or repeating a question id, is rejected naming its line."""
+    chains, first_line = {}, {}
+    for line_no, row in read_jsonl(path):
+        _require_fields(path, line_no, row, ("question_id", "chain"))
+        question_id = row["question_id"]
+        if question_id in first_line:
+            raise ValueError(f"{path}:{line_no}: duplicate question_id {question_id!r} "
+                             f"(first at {path}:{first_line[question_id]})")
+        first_line[question_id] = line_no
+        chains[question_id] = str(row["chain"])
+    return chains

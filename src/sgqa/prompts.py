@@ -3,6 +3,11 @@
 Extraction prompts (entity / relation / joint) end at "Entities:" or
 "Graph:"; QA prompts end at "A:". All rendering is deterministic: identical
 inputs give byte-identical text, hashed into `prompt_hash`.
+
+The paper's recipe is fixed, so its parts are module constants rather than
+options: `QUESTION_PREFIX` (the CoT instruction), `BLOCK_SEPARATOR` (between
+blocks), `MAX_PROMPT_CHARS` (the warning threshold), and the demonstration
+counts `DEFAULT_EXTRACTION_DEMOS` and `DEFAULT_QA_DEMOS`.
 """
 
 from __future__ import annotations
@@ -66,18 +71,6 @@ class AssemblyError(ValueError):
 
 
 @dataclass(frozen=True)
-class PromptConfig:
-    """Rendering knobs; the defaults reproduce the shipped templates."""
-
-    question_prefix: str = QUESTION_PREFIX
-    block_separator: str = BLOCK_SEPARATOR
-    max_chars: int = MAX_PROMPT_CHARS
-
-
-_DEFAULT_CONFIG = PromptConfig()
-
-
-@dataclass(frozen=True)
 class Demonstration:
     """One in-context example; input_text is the block body below its section
     marker, output_text the expected completion."""
@@ -95,10 +88,6 @@ class Demonstration:
 @dataclass(frozen=True)
 class PromptBundle:
     text: str
-    kind: str  # entity | relation | joint | qa
-    variant: PromptVariant | None
-    setting: Setting | None
-    demo_ids: tuple[str, ...]
     prompt_hash: str = field(default="")
 
     def __post_init__(self):
@@ -125,18 +114,12 @@ def _check_demo_kinds(demos: list[Demonstration], kind: str):
             )
 
 
-def _finish(text: str, kind: str, variant, setting, demos: list[Demonstration],
-            config: PromptConfig) -> PromptBundle:
-    if len(text) > config.max_chars:
+def _finish(blocks: list[str]) -> PromptBundle:
+    text = BLOCK_SEPARATOR.join(blocks)
+    if len(text) > MAX_PROMPT_CHARS:
         logger.warning("prompt exceeds %d chars (%d); sending unmodified",
-                       config.max_chars, len(text))
-    return PromptBundle(
-        text=text,
-        kind=kind,
-        variant=variant,
-        setting=setting,
-        demo_ids=tuple(d.id for d in demos),
-    )
+                       MAX_PROMPT_CHARS, len(text))
+    return PromptBundle(text=text)
 
 
 def _document_body(paragraph: Paragraph) -> str:
@@ -146,21 +129,19 @@ def _document_body(paragraph: Paragraph) -> str:
 def entity_prompt(
     paragraph: Paragraph,
     demos: list[Demonstration],
-    config: PromptConfig = _DEFAULT_CONFIG,
 ) -> PromptBundle:
     """Entity-extraction prompt: demonstration Document/Entities blocks, then
     the target document, ending at "Entities:"."""
     _check_demo_kinds(demos, "entity")
     blocks = [f"Document:\n{d.input_text}\nEntities:\n{d.output_text}" for d in demos]
     blocks.append(f"Document:\n{_document_body(paragraph)}\nEntities:")
-    return _finish(config.block_separator.join(blocks), "entity", None, None, demos, config)
+    return _finish(blocks)
 
 
 def relation_prompt(
     paragraph: Paragraph,
     entities: list,
     demos: list[Demonstration],
-    config: PromptConfig = _DEFAULT_CONFIG,
 ) -> PromptBundle:
     """Relation-extraction prompt: the document, the extracted entities one
     per line, then "Graph:"."""
@@ -170,13 +151,12 @@ def relation_prompt(
     blocks = [f"Document:\n{d.input_text}\nGraph:\n{d.output_text}" for d in demos]
     entity_lines = "\n".join(e.text for e in entities)
     blocks.append(f"Document:\n{_document_body(paragraph)}\n{entity_lines}\nGraph:")
-    return _finish(config.block_separator.join(blocks), "relation", None, None, demos, config)
+    return _finish(blocks)
 
 
 def joint_graph_prompt(
     paragraph: Paragraph,
     demos: list[Demonstration],
-    config: PromptConfig = _DEFAULT_CONFIG,
 ) -> PromptBundle:
     """Joint-extraction prompt: "Graph:" directly after the document."""
     _check_demo_kinds(demos, "joint")
@@ -184,7 +164,7 @@ def joint_graph_prompt(
         raise ValueError("joint_graph_prompt requires nonempty paragraph text")
     blocks = [f"Document:\n{d.input_text}\nGraph:\n{d.output_text}" for d in demos]
     blocks.append(f"Document:\n{_document_body(paragraph)}\nGraph:")
-    return _finish(config.block_separator.join(blocks), "joint", None, None, demos, config)
+    return _finish(blocks)
 
 
 def qa_prompt(
@@ -194,7 +174,6 @@ def qa_prompt(
     setting: Setting,
     variant: PromptVariant,
     demos: list[Demonstration],
-    config: PromptConfig = _DEFAULT_CONFIG,
 ) -> PromptBundle:
     """QA prompt: a Documents block (each document followed by its graph for
     graph variants), a blank line, the question line, and the "A:" cue."""
@@ -232,13 +211,13 @@ def qa_prompt(
     documents = "\n".join(sections)
 
     if setting is Setting.COT:
-        question_line = f"Q: {config.question_prefix} {question}"
+        question_line = f"Q: {QUESTION_PREFIX} {question}"
     else:
         question_line = f"Q: {question}"
 
     blocks = [f"Documents:\n{d.input_text}\nA: {d.output_text}" for d in demos]
     blocks.append(f"Documents:\n{documents}\n\n{question_line}\nA:")
-    return _finish(config.block_separator.join(blocks), "qa", variant, setting, demos, config)
+    return _finish(blocks)
 
 
 def load_demonstrations(path) -> list[Demonstration]:

@@ -498,32 +498,23 @@ def test_cli_config_file_overrides_flags(tmp_path):
 
 
 def test_cli_config_file_rejects_unknown_key(tmp_path):
-    config_file = tmp_path / "override.json"
-    config_file.write_text(json.dumps({"not_a_field": 1}))
-    code = run_cli([
-        "answer", "--dataset", E2E / "dataset.json", "--variant", "base",
-        "--backend", "replay", "--replay-file", E2E / "replay.jsonl",
-        "--cache-dir", tmp_path / "cache", "--output-dir", tmp_path / "run",
-        "--config", config_file,
-    ])
-    assert code == 2
+    # question_prefix is a constant in prompts.py, not a RunConfig field
+    for key in ("not_a_field", "question_prefix"):
+        config_file = tmp_path / f"{key}.json"
+        config_file.write_text(json.dumps({key: 1}))
+        code = run_cli([
+            "answer", "--dataset", E2E / "dataset.json", "--variant", "base",
+            "--backend", "replay", "--replay-file", E2E / "replay.jsonl",
+            "--cache-dir", tmp_path / "cache", "--output-dir", tmp_path / "run",
+            "--config", config_file,
+        ])
+        assert code == 2, key
 
 
-def test_config_file_can_set_prompt_knobs(tmp_path):
-    config_file = tmp_path / "override.json"
-    config_file.write_text(json.dumps({"qa_demo_count": 1, "question_prefix": "Custom prefix:"}))
-    run_dir = tmp_path / "run"
-    # no replay fixtures exist for the altered prompts, so every question fails;
-    # the point is that the knobs reach prompt rendering
-    code = run_cli([
-        "answer", "--dataset", E2E / "dataset.json", "--variant", "base",
-        "--backend", "replay", "--replay-file", E2E / "replay.jsonl",
-        "--cache-dir", tmp_path / "cache", "--model", MODEL,
-        "--output-dir", run_dir, "--config", config_file, "--allow-partial",
-    ])
-    assert code == 0
-    manifest = RunManifest(run_dir / "manifest.json")
-    assert len(manifest.failed()) == 10
+@pytest.mark.parametrize("command", ["extract", "answer"])
+def test_every_run_config_field_is_a_flag(command):
+    args = cli.build_parser().parse_args([command, "--dataset", "d", "--output-dir", "o"])
+    assert set(RunConfig.__dataclass_fields__) <= set(vars(args))
 
 
 def test_cli_failure_exit_code(tmp_path):
@@ -537,6 +528,23 @@ def test_cli_failure_exit_code(tmp_path):
     ]
     assert run_cli(args) == 1
     assert run_cli(args + ["--allow-partial"]) == 0
+
+
+def test_cli_exit_code_ignores_failures_of_an_earlier_run(tmp_path, capsys):
+    empty_replay = tmp_path / "empty.jsonl"
+    empty_replay.write_text("")
+    args = [
+        "answer", "--dataset", E2E / "dataset.json", "--variant", "base",
+        "--backend", "replay", "--cache-dir", tmp_path / "cache", "--model", MODEL,
+        "--output-dir", tmp_path / "run",
+    ]
+    assert run_cli(args + ["--split", "all", "--replay-file", empty_replay]) == 1
+    capsys.readouterr()
+    code = run_cli(args + ["--split", "dev", "--dev-n", "2", "--test-n", "0",
+                           "--replay-file", E2E / "replay.jsonl"])
+    assert "FAILED" not in capsys.readouterr().err
+    assert code == 0
+    assert len(pipeline.read_predictions([tmp_path / "run" / "predictions.jsonl"])) == 2
 
 
 def test_cli_evaluate_names_malformed_labels_line(tmp_path, capsys):
@@ -598,6 +606,34 @@ def test_read_labels_rejects_bad_rows(tmp_path, lines, error):
     with pytest.raises(ValueError) as excinfo:
         pipeline.read_labels(path)
     assert str(excinfo.value) == f"{path}" + error.format(path=path)
+
+
+@pytest.mark.parametrize("lines,error", [
+    (['{"chain": "c"}'], ":1: missing field 'question_id'"),
+    (['{"question_id": "q1", "chain": "c"}', '{"question_id": "q2"}'],
+     ":2: missing field 'chain'"),
+    (['{"question_id": "q1", "chain": "c"}', '{"question_id": "q1", "chain": "d"}'],
+     ":2: duplicate question_id 'q1' (first at {path}:1)"),
+], ids=["no question_id", "no chain", "repeated question_id"])
+def test_read_reference_chains_rejects_bad_rows(tmp_path, lines, error):
+    path = tmp_path / "references.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        pipeline.read_reference_chains(path)
+    assert str(excinfo.value) == f"{path}" + error.format(path=path)
+
+
+def test_cli_eval_chain_names_reference_without_chain(tmp_path, capsys):
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(json.dumps(PREDICTION) + "\n", encoding="utf-8")
+    references = tmp_path / "references.jsonl"
+    references.write_text('{"question_id": "e2e-01"}\n', encoding="utf-8")
+    code = run_cli([
+        "eval-chain", "--dataset", E2E / "dataset.json", "--predictions", predictions,
+        "--references", references, "--output-dir", tmp_path / "eval",
+    ])
+    assert code == 2
+    assert f"{references}:1: missing field 'chain'" in capsys.readouterr().err
 
 
 def test_cli_extract_base_usage_error(tmp_path):

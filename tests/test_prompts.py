@@ -5,10 +5,10 @@ import pytest
 from sgqa.corpus import Paragraph
 from sgqa.graph import Entity, Triple, build_full_graph, multi_step_graph
 from sgqa.prompts import (
+    MAX_PROMPT_CHARS,
     AssemblyError,
     ConfigurationError,
     Demonstration,
-    PromptConfig,
     PromptVariant,
     Setting,
     default_demo_file,
@@ -225,23 +225,11 @@ def test_base_prompt_has_no_graph_lines(target, second):
     assert "(Bowness-on-Windermere," not in tail
 
 
-def test_custom_question_prefix(target, second, sg_graphs):
-    config = PromptConfig(question_prefix="Answer the question by reasoning step-by-step.")
-    bundle = qa_prompt([target, second], sg_graphs, QUESTION,
-                       Setting.COT, PromptVariant.SG_MULTI, [], config)
-    assert "Q: Answer the question by reasoning step-by-step. Which lake" in bundle.text
-
-
-def test_custom_block_separator(target):
-    config = PromptConfig(block_separator="\n\n\n")
-    bundle = entity_prompt(target, demos("entity", 2), config)
-    assert "\n\n\n" in bundle.text
-
-
 def test_over_long_prompt_warns_but_returns(target, caplog):
-    config = PromptConfig(max_chars=10)
+    paragraph = Paragraph(title=target.title, sentences=("word " * (MAX_PROMPT_CHARS // 5),))
     with caplog.at_level("WARNING"):
-        bundle = entity_prompt(target, [], config)
+        bundle = entity_prompt(paragraph, [])
+    assert len(bundle.text) > MAX_PROMPT_CHARS
     assert "exceeds" in caplog.text
     assert bundle.text.endswith("Entities:")
 
