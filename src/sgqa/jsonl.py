@@ -1,16 +1,24 @@
-"""The JSONL file format and the whole-or-nothing write policy.
+"""The JSONL file format and the two write policies.
 
-Every file sgqa writes goes to a temp file beside its target and is renamed
-over it, so the target holds its old bytes or all of the new ones, even if the
-process is killed mid-write.
+Every output file sgqa writes goes to a temp file beside its target and is
+renamed over it, so the target holds its old bytes or all of the new ones,
+even if the process is killed mid-write.
+
+The one exception is an append-only log, which is appended to, never renamed
+into place: the completion cache's `completions.jsonl`. Each line is appended
+in one unbuffered write, so a kill leaves at most a torn last line, one
+without its newline, and `read_log` drops that line and cuts it off the file.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 from pathlib import Path
+
+logger = logging.getLogger(__name__)
 
 
 def write_atomic(path, chunks) -> None:
@@ -42,3 +50,40 @@ def read_jsonl(path):
                     yield line_no, json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}:{line_no}: malformed JSON: {exc}") from exc
+
+
+def read_log(path):
+    """Yield (line number, row) for each complete line of the append-only log
+    at `path`; a missing file has none. A line that is not JSON is skipped
+    with a warning. A torn last line is dropped with a warning and the file
+    is truncated to the last newline, so the next append starts a new line."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        complete = 0  # bytes up to and including the last newline
+        for line_no, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                logger.warning("%s:%d: torn last line dropped", path, line_no)
+                os.truncate(path, complete)
+                return
+            complete += len(line)
+            try:
+                row = json.loads(line)
+            except ValueError as exc:  # malformed JSON or UTF-8
+                logger.warning("%s:%d: corrupt line skipped (%s)", path, line_no, exc)
+                continue
+            yield line_no, row
+
+
+def open_log(path):
+    """Open the append-only log at `path` for `append_line`, creating it."""
+    return open(path, "ab", buffering=0)
+
+
+def append_line(log, text: str) -> None:
+    """Append `text` and a newline to a log from `open_log` in one write."""
+    data = (text + "\n").encode("utf-8")
+    if log.write(data) != len(data):
+        raise OSError(f"{log.name}: short write to an append-only log")

@@ -2,23 +2,29 @@
 
 Two backends share one contract: a live completions-style HTTP backend and a
 replay backend serving pre-recorded fixtures, which makes every pipeline run
-a pure function of its inputs. Completions are cached on disk keyed by a
-digest of the full request, so interrupted runs resume without new calls.
-Cache entries and replay fixtures are written through `jsonl.write_atomic`,
-so each file is whole or unchanged.
+a pure function of its inputs. Completions are cached keyed by a digest of
+the full request, so interrupted runs resume without new calls. The cache is
+one append-only log indexed in memory (the log-structured hash table of
+Bitcask, Sheehy & Smith 2010), and concurrent misses on one key share one
+backend call. Replay fixtures are written through `jsonl.write_jsonl`, so a
+fixture file is whole or unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import os
+import random
+import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
-from .jsonl import read_jsonl, write_atomic, write_jsonl
+from .jsonl import append_line, open_log, read_jsonl, read_log, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +63,23 @@ class GenerationRequest:
     def effective_max_tokens(self) -> int:
         return QA_MAX_TOKENS_CAP if self.max_tokens is None else self.max_tokens
 
+    @functools.cached_property
+    def key(self) -> str:
+        """The `request_key` digest, computed on first use and kept: the
+        request is immutable."""
+        payload = json.dumps(
+            {
+                "model_id": self.model_id,
+                "prompt": self.prompt,
+                "max_tokens": self.max_tokens,
+                "temperature": self.temperature,
+                "stop_sequences": list(self.stop_sequences),
+            },
+            sort_keys=True,
+            ensure_ascii=False,
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
 
 def extraction_request(prompt: str, model_id: str) -> GenerationRequest:
     return GenerationRequest(
@@ -74,18 +97,7 @@ def qa_request(prompt: str, model_id: str) -> GenerationRequest:
 
 def request_key(request: GenerationRequest) -> str:
     """Content digest of every request field; equal requests share a key."""
-    payload = json.dumps(
-        {
-            "model_id": request.model_id,
-            "prompt": request.prompt,
-            "max_tokens": request.max_tokens,
-            "temperature": request.temperature,
-            "stop_sequences": list(request.stop_sequences),
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return request.key
 
 
 @dataclass(frozen=True)
@@ -149,10 +161,12 @@ class HTTPBackend:
 
     POSTs {model, prompt, max_tokens, temperature, stop} to `endpoint` with a
     bearer token from the SGQA_API_KEY environment variable, and reads
-    choices[0].text (falling back to a top-level "text"). Retries up to
-    RETRY_ATTEMPTS times with exponential backoff on network errors, 429 and
-    5xx responses; other 4xx responses and a 200 body without the text fail
-    at once.
+    choices[0].text (falling back to a top-level "text"). Makes up to
+    RETRY_ATTEMPTS attempts on network errors, 429 and 5xx responses; other
+    4xx responses and a 200 body without the text fail at once. Before a
+    retry it waits the seconds a 429 or 503 response's Retry-After header
+    asks for (RFC 9110 §10.2.3), or else a full-jitter exponential backoff,
+    uniform(0, RETRY_BASE_DELAY * 2**attempt).
     """
 
     def __init__(self, endpoint: str, session=None, timeout: float = 120.0,
@@ -180,6 +194,7 @@ class HTTPBackend:
             headers["Authorization"] = f"Bearer {self._api_key}"
         last_error = None
         for attempt in range(RETRY_ATTEMPTS):
+            retry_after = None
             try:
                 response = self._session.post(
                     self._endpoint, json=body, headers=headers, timeout=self._timeout
@@ -188,6 +203,7 @@ class HTTPBackend:
                     last_error = BackendError(
                         f"HTTP {response.status_code}: {response.text[:200]}"
                     )
+                    retry_after = _retry_after(response)
                 elif response.status_code >= 400:
                     raise BackendError(f"HTTP {response.status_code}: {response.text[:200]}")
                 else:
@@ -205,11 +221,21 @@ class HTTPBackend:
             except Exception as exc:  # network / timeout / bad JSON
                 last_error = BackendError(f"transport error: {exc}")
             if attempt < RETRY_ATTEMPTS - 1:
-                delay = RETRY_BASE_DELAY * (2**attempt)
+                delay = (random.uniform(0, RETRY_BASE_DELAY * 2**attempt)
+                         if retry_after is None else retry_after)
                 logger.warning("backend attempt %d failed (%s); retrying in %.1fs",
                                attempt + 1, last_error, delay)
                 time.sleep(delay)
         raise last_error  # type: ignore[misc]
+
+
+def _retry_after(response) -> float | None:
+    """The wait a 429 or 503 response asks for in a Retry-After header given
+    in seconds; None for another status, no header or an HTTP-date."""
+    if response.status_code not in (429, 503):
+        return None
+    value = response.headers.get("Retry-After", "").strip()
+    return float(value) if value.isdecimal() else None
 
 
 def generate(request: GenerationRequest, backend) -> Completion:
@@ -225,54 +251,95 @@ def generate(request: GenerationRequest, backend) -> Completion:
 
 
 class CompletionCache:
-    """One JSON file per completion under cache_dir/objects; writes are
-    temp-then-rename so concurrent workers are safe."""
+    """Completions keyed by request digest, kept in one append-only log,
+    cache_dir/completions.jsonl, of {key, text, backend_id} lines and read
+    into an in-memory index at open.
+
+    Crash contract:
+    - Every complete line is a valid entry: `put` appends its line in one
+      write, under a lock, and indexes it.
+    - At open, a torn last line (a put killed mid-write) is dropped with a
+      warning and the file is truncated to the last newline.
+    - A corrupt line elsewhere is skipped with a warning; its request is
+      generated again on the next miss. Of two lines with one key, the
+      later wins.
+    - The one-file-per-completion `objects/` directory of earlier versions
+      is not read.
+
+    Concurrent misses on one key make one backend call (`fill`). Several
+    instances on one directory may all append; each sees the others' entries
+    when reopened, and one that opens while another process is mid-append
+    takes that line for a torn one. `close` the cache, or use it in a `with`
+    block.
+    """
 
     def __init__(self, cache_dir):
-        self.root = Path(cache_dir)
-        self.objects = self.root / "objects"
-        self.objects.mkdir(parents=True, exist_ok=True)
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        self.path = Path(cache_dir) / "completions.jsonl"
+        self._index: dict[str, tuple[str, str]] = {}  # key -> (text, backend_id)
+        for line_no, row in read_log(self.path):
+            try:
+                self._index[row["key"]] = (row["text"], row["backend_id"])
+            except (KeyError, TypeError):
+                logger.warning("%s:%d: not a cache entry; skipped", self.path, line_no)
+        self._log = open_log(self.path)
+        self._lock = threading.Lock()
+        self._flights: dict[str, Future] = {}  # key -> the result of its one backend call
 
-    def _entry_path(self, key: str) -> Path:
-        return self.objects / f"{key}.json"
+    def close(self):
+        self._log.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
     def get(self, key: str) -> dict | None:
-        path = self._entry_path(key)
-        if not path.exists():
-            return None
-        try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-            if "text" not in entry:
-                raise ValueError("no text field")
-            return entry
-        except (ValueError, OSError) as exc:
-            logger.warning("corrupt cache entry %s (%s); regenerating", path.name, exc)
-            return None
+        entry = self._index.get(key)
+        return None if entry is None else {"text": entry[0], "backend_id": entry[1]}
 
     def put(self, key: str, text: str, backend_id: str):
-        entry = {
-            "key": key,
-            "text": text,
-            "backend_id": backend_id,
-            "created_at": time.time(),
-        }
-        write_atomic(self._entry_path(key), [json.dumps(entry, ensure_ascii=False)])
+        line = json.dumps({"key": key, "text": text, "backend_id": backend_id},
+                          ensure_ascii=False)
+        with self._lock:
+            append_line(self._log, line)
+            self._index[key] = (text, backend_id)
+
+    def fill(self, key: str, compute) -> Completion:
+        """The completion for `key`, from the index or else from `compute()`,
+        which is then put. However many threads ask for one missing key at
+        once, one of them calls `compute` and the others wait for its
+        completion or its exception. A failure puts nothing, so the next
+        call retries."""
+        with self._lock:
+            entry = self._index.get(key)
+            if entry is not None:
+                return Completion(text=entry[0], backend_id=entry[1], cached=True)
+            flight = self._flights.get(key)
+            leader = flight is None
+            if leader:
+                flight = self._flights[key] = Future()
+        if not leader:
+            return flight.result()
+        try:
+            completion = compute()
+            self.put(key, completion.text, completion.backend_id)
+        except BaseException as exc:
+            flight.set_exception(exc)
+            raise
+        finally:
+            with self._lock:
+                del self._flights[key]
+        flight.set_result(completion)
+        return completion
 
 
 def cached_generate(request: GenerationRequest, backend, cache: CompletionCache) -> Completion:
-    """Serve from cache when possible; on a miss, generate and write before
-    returning. Duplicate in-flight misses may both call the backend (values
-    are identical at temperature 0), last write wins."""
+    """Serve from cache when possible; on a miss, generate and append before
+    returning. Concurrent misses on one request share one backend call."""
     key = request_key(request)
     entry = cache.get(key)
     if entry is not None:
-        return Completion(
-            text=entry["text"],
-            backend_id=entry.get("backend_id", backend.backend_id),
-            cached=True,
-            latency=0.0,
-        )
-    completion = generate(request, backend)
-    cache.put(key, completion.text, completion.backend_id)
-    return completion
+        return Completion(text=entry["text"], backend_id=entry["backend_id"], cached=True)
+    return cache.fill(key, lambda: generate(request, backend))

@@ -38,6 +38,7 @@ logger = logging.getLogger(__name__)
 
 ANSWER_COLUMNS = ("em", "f1", "precision", "recall")
 ROUGE_COLUMNS = ("rouge1", "rouge2", "rougeL")
+GRAPH_FIELDS = ("question_id", "paragraph_index", "graph")  # of a graphs.jsonl row
 
 
 class UsageError(ValueError):
@@ -92,7 +93,13 @@ class RunManifest:
         self.path = Path(path)
         if self.path.exists():
             with open(self.path, encoding="utf-8") as fh:
-                self._data = json.load(fh)
+                try:
+                    self._data = json.load(fh)
+                except ValueError as exc:
+                    raise ValueError(f"{self.path}: damaged manifest: {exc}") from exc
+            questions = self._data.get("questions") if isinstance(self._data, dict) else None
+            if not isinstance(questions, dict):
+                raise ValueError(f"{self.path}: damaged manifest: no 'questions' object")
             if config is not None:
                 self._data["config"] = config.snapshot()
         else:
@@ -224,7 +231,6 @@ def run_extract(config: RunConfig) -> Path:
         raise UsageError("the base variant has no extraction stage")
     records = load_records(config)
     backend = make_backend(config)
-    cache = CompletionCache(config.cache_dir)
     demos = {
         kind: _demo_set(config, kind)
         for kind in ("entity", "relation", "joint")
@@ -249,12 +255,14 @@ def run_extract(config: RunConfig) -> Path:
             return None, f"extract: {exc}"
         return rows, None
 
-    return _run_stage(config, records, "graphs.jsonl", "extracted", worker)
+    with CompletionCache(config.cache_dir) as cache:
+        return _run_stage(config, records, "graphs.jsonl", "extracted", worker)
 
 
 def load_graphs(path) -> dict[str, dict[int, graph_mod.SemanticGraph]]:
     graphs: dict[str, dict[int, graph_mod.SemanticGraph]] = {}
     for line_no, row in read_jsonl(path):
+        _require_fields(path, line_no, row, GRAPH_FIELDS)
         by_index = graphs.setdefault(row["question_id"], {})
         index = row["paragraph_index"]
         if index in by_index:
@@ -270,7 +278,6 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
     """Answer every question; writes predictions.jsonl."""
     records = load_records(config)
     backend = make_backend(config)
-    cache = CompletionCache(config.cache_dir)
 
     needs_graphs = config.variant is not PromptVariant.BASE
     if needs_graphs:
@@ -326,7 +333,8 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
             return None, f"answer: {exc}"
         return [row], None
 
-    return _run_stage(config, records, "predictions.jsonl", "answered", worker)
+    with CompletionCache(config.cache_dir) as cache:
+        return _run_stage(config, records, "predictions.jsonl", "answered", worker)
 
 
 def _require_fields(path, line_no: int, row, names) -> None:
@@ -498,7 +506,8 @@ def run_ground(graphs_path, records: list[corpus.QuestionRecord], output_path,
 
     def reports():
         nonlocal count
-        for _, row in read_jsonl(graphs_path):
+        for line_no, row in read_jsonl(graphs_path):
+            _require_fields(graphs_path, line_no, row, GRAPH_FIELDS)
             record = by_id.get(row["question_id"])
             if record is None:
                 logger.warning("graph for unknown question id %r skipped", row["question_id"])

@@ -1,5 +1,8 @@
 import json
+import random
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -102,41 +105,45 @@ def test_completion_never_contains_stop_sequence():
 def test_cached_generate_hit_and_miss(tmp_path):
     request = make_request()
     backend = ReplayBackend({request_key(request): "value"})
-    cache = CompletionCache(tmp_path / "cache")
-
-    first = cached_generate(request, backend, cache)
+    with CompletionCache(tmp_path / "cache") as cache:
+        first = cached_generate(request, backend, cache)
+        second = cached_generate(request, backend, cache)
     assert first.cached is False and first.text == "value"
-    second = cached_generate(request, backend, cache)
     assert second.cached is True and second.text == "value"
     assert second.latency == 0.0
     assert backend.calls == 1
 
 
 def test_cache_distinguishes_temperature(tmp_path):
-    cache = CompletionCache(tmp_path / "cache")
     r0 = make_request(temperature=0.0)
     r1 = make_request(temperature=1.0)
     backend = ReplayBackend({request_key(r0): "cold", request_key(r1): "hot"})
-    assert cached_generate(r0, backend, cache).text == "cold"
-    assert cached_generate(r1, backend, cache).text == "hot"
+    with CompletionCache(tmp_path / "cache") as cache:
+        assert cached_generate(r0, backend, cache).text == "cold"
+        assert cached_generate(r1, backend, cache).text == "hot"
     assert backend.calls == 2
+
+
+def log_lines(cache):
+    return cache.path.read_text(encoding="utf-8").splitlines()
 
 
 def test_cache_corruption_regenerates(tmp_path, caplog):
     request = make_request()
     backend = ReplayBackend({request_key(request): "value"})
-    cache = CompletionCache(tmp_path / "cache")
-    cached_generate(request, backend, cache)
+    with CompletionCache(tmp_path / "cache") as cache:
+        cached_generate(request, backend, cache)
 
-    entry_path = cache._entry_path(request_key(request))
-    entry_path.write_text("{not json", encoding="utf-8")
-    with caplog.at_level("WARNING"):
+    cache.path.write_text("{not json\n", encoding="utf-8")
+    with caplog.at_level("WARNING"), CompletionCache(tmp_path / "cache") as cache:
         completion = cached_generate(request, backend, cache)
     assert completion.text == "value"
     assert completion.cached is False
-    assert "corrupt cache entry" in caplog.text
-    # entry replaced and readable again
-    assert json.loads(entry_path.read_text())["text"] == "value"
+    assert f"{cache.path}:1: corrupt line skipped" in caplog.text
+    # the regenerated entry follows the corrupt line and is served on reopen
+    assert json.loads(log_lines(cache)[1])["text"] == "value"
+    with CompletionCache(tmp_path / "cache") as reopened:
+        assert reopened.get(request_key(request))["text"] == "value"
 
 
 def test_concurrent_calls_after_warmup_hit_cache(tmp_path):
@@ -149,26 +156,141 @@ def test_concurrent_calls_after_warmup_hit_cache(tmp_path):
     with ThreadPoolExecutor(max_workers=16) as pool:
         futures = [pool.submit(cached_generate, request, backend, cache)
                    for _ in range(100)]
-        results = [f.result() for f in futures]
+        results = [f.result(timeout=10) for f in futures]
+    cache.close()
     assert backend.calls == 1
     assert all(r.text == "value" and r.cached for r in results)
-    assert len(list(cache.objects.glob("*.json"))) == 1
+    assert len(log_lines(cache)) == 1
 
 
 def test_concurrent_cold_cache_single_entry(tmp_path):
     request = make_request()
     backend = ReplayBackend({request_key(request): "value"})
     cache = CompletionCache(tmp_path / "cache")
-    barrier = threading.Barrier(8)
+    barrier = threading.Barrier(8, timeout=10)
 
     def call():
         barrier.wait()
         return cached_generate(request, backend, cache)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
-        results = [f.result() for f in [pool.submit(call) for _ in range(8)]]
+        results = [f.result(timeout=10) for f in [pool.submit(call) for _ in range(8)]]
+    cache.close()
     assert all(r.text == "value" for r in results)
-    assert len(list(cache.objects.glob("*.json"))) == 1
+    assert len(log_lines(cache)) == 1
+
+
+def test_cache_drops_torn_last_line(tmp_path, caplog):
+    first, torn = make_request(prompt="first"), make_request(prompt="torn")
+    with CompletionCache(tmp_path / "cache") as cache:
+        cache.put(request_key(first), "one", "replay")
+    whole = cache.path.read_bytes()
+    with open(cache.path, "ab") as fh:  # a put killed mid-write
+        fh.write(b'{"key": "' + request_key(torn).encode() + b'", "text": "tw')
+
+    with caplog.at_level("WARNING"), CompletionCache(tmp_path / "cache") as cache:
+        assert f"{cache.path}:2: torn last line dropped" in caplog.text
+        assert cache.path.read_bytes() == whole
+        assert cache.get(request_key(first))["text"] == "one"
+        assert cache.get(request_key(torn)) is None
+        cache.put(request_key(torn), "two", "replay")
+    with CompletionCache(tmp_path / "cache") as cache:
+        assert [cache.get(request_key(r))["text"] for r in (first, torn)] == ["one", "two"]
+
+
+def test_cache_skips_corrupt_middle_line(tmp_path, caplog):
+    requests = [make_request(prompt=p) for p in ("a", "b")]
+    with CompletionCache(tmp_path / "cache") as cache:
+        cache.put(request_key(requests[0]), "A", "replay")
+    with open(cache.path, "ab") as fh:
+        fh.write(b'{"key": "x", "te\n["not", "an", "entry"]\n')
+    with CompletionCache(tmp_path / "cache") as cache:
+        cache.put(request_key(requests[1]), "B", "replay")
+
+    with caplog.at_level("WARNING"), CompletionCache(tmp_path / "cache") as cache:
+        assert [cache.get(request_key(r))["text"] for r in requests] == ["A", "B"]
+    assert f"{cache.path}:2: corrupt line skipped" in caplog.text
+    assert f"{cache.path}:3: not a cache entry" in caplog.text
+    assert len(log_lines(cache)) == 4
+
+
+class SlowBackend(ReplayBackend):
+    """Replay backend that takes `delay` seconds per call and fails the first
+    `failures` calls."""
+
+    def __init__(self, fixtures, delay, failures=0):
+        super().__init__(fixtures)
+        self.delay = delay
+        self.failures = failures
+        self.lock = threading.Lock()
+
+    def complete(self, request):
+        with self.lock:
+            self.calls += 1
+            fail = self.calls <= self.failures
+        time.sleep(self.delay)
+        if fail:
+            raise RuntimeError("backend down")
+        return self._fixtures[request_key(request)]
+
+
+def race(cache, request, backend, threads=8):
+    """`threads` threads released together behind a barrier, each calling
+    cached_generate once; returns each one's completion or exception."""
+    barrier = threading.Barrier(threads, timeout=10)
+
+    def call():
+        barrier.wait()
+        try:
+            return cached_generate(request, backend, cache)
+        except RuntimeError as exc:
+            return exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return [f.result(timeout=10) for f in [pool.submit(call) for _ in range(threads)]]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_misses_make_one_backend_call(tmp_path):
+    request = make_request()
+    backend = SlowBackend({request_key(request): "value"}, delay=0.2)
+    with CompletionCache(tmp_path / "cache") as cache:
+        results = race(cache, request, backend)
+        # a miss that lost the race to a finished call is served from the index
+        late = cache.fill(request_key(request), lambda: pytest.fail("second backend call"))
+    assert backend.calls == 1
+    assert [r.text for r in results] == ["value"] * 8
+    assert late.text == "value" and late.cached
+    assert len(log_lines(cache)) == 1
+
+
+def test_failed_call_fails_every_waiter_and_is_retried(tmp_path):
+    request = make_request()
+    backend = SlowBackend({request_key(request): "value"}, delay=0.5, failures=1)
+    with CompletionCache(tmp_path / "cache") as cache:
+        results = race(cache, request, backend)
+        assert backend.calls == 1
+        assert all(isinstance(r, RuntimeError) and str(r) == "backend down" for r in results)
+        assert log_lines(cache) == []
+        assert cached_generate(request, backend, cache).text == "value"
+    assert backend.calls == 2
+    assert len(log_lines(cache)) == 1
+
+
+def test_two_caches_on_one_directory_both_append(tmp_path):
+    r1, r2 = make_request(prompt="one"), make_request(prompt="two")
+    backend = ReplayBackend({request_key(r1): "1", request_key(r2): "2"})
+    with CompletionCache(tmp_path / "cache") as a, CompletionCache(tmp_path / "cache") as b:
+        cached_generate(r1, backend, a)
+        cached_generate(r2, backend, b)
+    with CompletionCache(tmp_path / "cache") as reopened:
+        assert [cached_generate(r, backend, reopened).text for r in (r1, r2)] == ["1", "2"]
+    assert backend.calls == 2
+    assert len(log_lines(reopened)) == 2
 
 
 # --------------------------------------------------------------- http backend
@@ -187,10 +309,11 @@ class StubSession:
 
 
 class StubResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         return self._payload
@@ -247,3 +370,32 @@ def test_http_backend_malformed_200_fails_fast(monkeypatch, payload):
         backend.complete(make_request())
     assert len(session.requests) == 1
     assert sleeps == []
+
+
+def test_http_backend_honours_retry_after_seconds(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    session = StubSession([
+        StubResponse(429, headers={"Retry-After": "7"}),
+        StubResponse(503, headers={"Retry-After": " 2 "}),
+        StubResponse(200, {"choices": [{"text": "ok"}]}),
+    ])
+    backend = HTTPBackend("http://api.test", session=session, api_key="k")
+    assert backend.complete(make_request()) == "ok"
+    assert sleeps == [7.0, 2.0]
+
+
+def test_http_backend_full_jitter_backoff(monkeypatch):
+    sleeps, bounds = [], []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    monkeypatch.setattr(random, "uniform", lambda a, b: bounds.append((a, b)) or b / 4)
+    session = StubSession([
+        # Retry-After counts only on 429 and 503, and only in seconds
+        StubResponse(500, headers={"Retry-After": "30"}),
+        StubResponse(429, headers={"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}),
+        StubResponse(200, {"choices": [{"text": "ok"}]}),
+    ])
+    backend = HTTPBackend("http://api.test", session=session, api_key="k")
+    assert backend.complete(make_request()) == "ok"
+    assert bounds == [(0, 1.0), (0, 2.0)]
+    assert sleeps == [0.25, 0.5]

@@ -643,3 +643,33 @@ def test_cli_extract_base_usage_error(tmp_path):
         "--cache-dir", tmp_path / "cache", "--output-dir", tmp_path / "run",
     ])
     assert code == 2
+
+
+def test_cli_ground_names_graph_row_without_graph(tmp_path, capsys):
+    graphs = tmp_path / "graphs.jsonl"
+    graphs.write_text('{"question_id": "e2e-01", "paragraph_index": 0}\n', encoding="utf-8")
+    code = run_cli([
+        "ground", "--dataset", E2E / "dataset.json", "--graphs", graphs,
+        "--output-dir", tmp_path / "ground",
+    ])
+    assert code == 2
+    assert f"{graphs}:1: missing field 'graph'" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=":1: missing field 'graph'"):
+        pipeline.load_graphs(graphs)
+
+
+def test_cli_answer_names_damaged_manifest(tmp_path, capsys):
+    args = [
+        "answer", "--dataset", E2E / "dataset.json", "--variant", "base",
+        "--backend", "replay", "--replay-file", E2E / "replay.jsonl",
+        "--cache-dir", tmp_path / "cache", "--model", MODEL,
+        "--output-dir", tmp_path / "run",
+    ]
+    assert run_cli(args) == 0
+    manifest = tmp_path / "run" / "manifest.json"
+    truncated = manifest.read_bytes()[:40]
+    for damaged, why in ((truncated, "Expecting"), (b"[]", "no 'questions' object")):
+        manifest.write_bytes(damaged)
+        capsys.readouterr()
+        assert run_cli(args) == 2
+        assert f"error: {manifest}: damaged manifest: {why}" in capsys.readouterr().err
