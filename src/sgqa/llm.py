@@ -12,7 +12,6 @@ fixture file is whole or unchanged.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -63,22 +62,27 @@ class GenerationRequest:
     def effective_max_tokens(self) -> int:
         return QA_MAX_TOKENS_CAP if self.max_tokens is None else self.max_tokens
 
-    @functools.cached_property
+    @property
     def key(self) -> str:
         """The `request_key` digest, computed on first use and kept: the
-        request is immutable."""
-        payload = json.dumps(
-            {
-                "model_id": self.model_id,
-                "prompt": self.prompt,
-                "max_tokens": self.max_tokens,
-                "temperature": self.temperature,
-                "stop_sequences": list(self.stop_sequences),
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        request is immutable. No lock is taken (`functools.cached_property`
+        takes one lock for every instance before Python 3.12): two threads
+        that both find the digest missing both compute the same one."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            payload = json.dumps(
+                {
+                    "model_id": self.model_id,
+                    "prompt": self.prompt,
+                    "max_tokens": self.max_tokens,
+                    "temperature": self.temperature,
+                    "stop_sequences": list(self.stop_sequences),
+                },
+                sort_keys=True,
+                ensure_ascii=False,
+            )
+            key = self.__dict__["_key"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return key
 
 
 def extraction_request(prompt: str, model_id: str) -> GenerationRequest:
@@ -305,6 +309,7 @@ class CompletionCache:
         with self._lock:
             append_line(self._log, line)
             self._index[key] = (text, backend_id)
+            self._flights.pop(key, None)  # later callers read the index
 
     def fill(self, key: str, compute) -> Completion:
         """The completion for `key`, from the index or else from `compute()`,
@@ -326,11 +331,10 @@ class CompletionCache:
             completion = compute()
             self.put(key, completion.text, completion.backend_id)
         except BaseException as exc:
+            with self._lock:
+                self._flights.pop(key, None)
             flight.set_exception(exc)
             raise
-        finally:
-            with self._lock:
-                del self._flights[key]
         flight.set_result(completion)
         return completion
 
