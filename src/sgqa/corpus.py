@@ -4,10 +4,20 @@ Both datasets ship as a JSON array of records with `_id`, `question`,
 `answer`, `supporting_facts` ([title, sent_idx] pairs) and `context`
 ([title, [sentences]] pairs); 2Wiki adds an `evidences` field which is
 ingested but unused downstream.
+
+`load_dataset` costs little more than parsing the JSON. It checks each
+context entry in one pass, with the sentence-type check at C speed, and it
+pauses the cyclic GC for the parse and the record build. JSON builds no
+reference cycles, so each collection the GC would make there frees nothing
+and only rescans the objects just built; at HotpotQA-dev size those
+collections were about a third of the load's CPU time. `Paragraph.text` is
+joined on each access, not stored: keeping every paragraph's text would
+raise the peak memory of a run.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import random
@@ -20,9 +30,11 @@ FORMATS = ("hotpotqa", "2wiki")
 DEFAULT_DEV_SIZE = 100
 DEFAULT_TEST_SIZE = 500
 
+_STR_ONLY = frozenset({str})
+
 
 class DatasetParseError(ValueError):
-    """The dataset file is not valid JSON or not a JSON array."""
+    """The dataset file is not UTF-8, not valid JSON or not a JSON array."""
 
 
 class DatasetSchemaError(ValueError):
@@ -42,16 +54,16 @@ class SplitSizeError(ValueError):
     """Requested split sizes exceed the number of available records."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Paragraph:
-    """A titled context paragraph; `text` is the in-order sentence concatenation."""
+    """A titled context paragraph; `text` is the in-order sentence concatenation.
+
+    A `Paragraph` built directly is not checked: `load_dataset` checks the
+    title and sentences of every paragraph it builds.
+    """
 
     title: str
     sentences: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.title:
-            raise ValueError("paragraph title must be nonempty")
 
     @property
     def text(self) -> str:
@@ -89,22 +101,21 @@ def _parse_context(raw_context, index: int) -> tuple[Paragraph, ...]:
         raise DatasetSchemaError(index, "context", "expected a list")
     paragraphs = []
     for pos, item in enumerate(raw_context):
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 2
-            or not isinstance(item[0], str)
-            or not isinstance(item[1], list)
-        ):
+        try:
+            title, sentences = item
+        except (TypeError, ValueError):  # not a pair
+            title = sentences = None
+        if not isinstance(title, str) or not isinstance(sentences, list):
             raise DatasetSchemaError(
                 index, "context", f"entry {pos} is not a [title, [sentences]] pair"
             )
-        title, sentences = item
-        if not all(isinstance(s, str) for s in sentences):
+        if not _STR_ONLY.issuperset(map(type, sentences)):
             raise DatasetSchemaError(index, "context", f"entry {pos} has non-string sentences")
-        try:
-            paragraphs.append(Paragraph(title=title, sentences=tuple(sentences)))
-        except ValueError as exc:
-            raise DatasetSchemaError(index, "context", f"entry {pos}: {exc}") from exc
+        if not title:
+            raise DatasetSchemaError(
+                index, "context", f"entry {pos}: paragraph title must be nonempty"
+            )
+        paragraphs.append(Paragraph(title, tuple(sentences)))
     return tuple(paragraphs)
 
 
@@ -124,22 +135,46 @@ def _parse_supporting_titles(raw_facts, index: int) -> frozenset[str]:
 def load_dataset(path, format: str = "hotpotqa") -> list[QuestionRecord]:
     """Load a dataset file into typed records.
 
-    Raises DatasetParseError on malformed JSON (with byte offset) and
-    DatasetSchemaError naming the record index and field on schema problems,
-    including an `_id` repeated from an earlier record.
+    Raises DatasetParseError on a file that is not UTF-8 or not JSON (with the
+    byte offset) and DatasetSchemaError naming the record index and field on
+    schema problems, including an `_id` repeated from an earlier record.
+
+    The cyclic GC is paused while the file is parsed and the records are
+    built, and turned back on only if it was on at entry.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetParseError(
-                f"{path}: malformed JSON at byte offset {exc.pos}: {exc.msg}"
-            ) from exc
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build_records(_read_json(path), path, format)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_json(path):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(
+            f"{path}: not UTF-8 at byte offset {exc.start}: {exc.reason}"
+        ) from exc
+    del raw  # the parse holds the text and its objects, not the bytes as well
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        offset = len(text[: exc.pos].encode("utf-8"))
+        raise DatasetParseError(
+            f"{path}: malformed JSON at byte offset {offset}: {exc.msg}"
+        ) from exc
+
+
+def _build_records(data, path, format: str) -> list[QuestionRecord]:
     if not isinstance(data, list):
         raise DatasetParseError(f"{path}: expected a top-level JSON array of records")
-
     records = []
     first_index: dict[str, int] = {}
     for index, raw in enumerate(data):
