@@ -124,7 +124,8 @@ def _parse_supporting_titles(raw_facts, index: int) -> frozenset[str]:
         raise DatasetSchemaError(index, "supporting_facts", "expected a list")
     titles = []
     for pos, item in enumerate(raw_facts):
-        if not isinstance(item, (list, tuple)) or len(item) < 1 or not isinstance(item[0], str):
+        if (not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], str)
+                or type(item[1]) is not int):
             raise DatasetSchemaError(
                 index, "supporting_facts", f"entry {pos} is not a [title, sent_idx] pair"
             )
@@ -180,7 +181,9 @@ def _build_records(data, path, format: str) -> list[QuestionRecord]:
     for index, raw in enumerate(data):
         if not isinstance(raw, dict):
             raise DatasetSchemaError(index, "<record>", "not a JSON object")
-        record_id = str(_require(raw, index, "_id"))
+        record_id = _require(raw, index, "_id")
+        if not isinstance(record_id, str) or not record_id:
+            raise DatasetSchemaError(index, "_id", "must be a nonempty string")
         if first_index.setdefault(record_id, index) != index:
             raise DatasetSchemaError(
                 index, "_id", f"{record_id!r} repeats record {first_index[record_id]}"

@@ -11,6 +11,8 @@ from __future__ import annotations
 import html
 import json
 import logging
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .corpus import Paragraph
@@ -55,27 +57,48 @@ class GroundingReport:
     relation_rate: float | None  # None when the graph has no relations
 
 
+# Where normalized and raw offsets stop differing by a constant: after a run
+# of two or more whitespace characters, and at a character whose casefold
+# expands (only non-ASCII characters do).
+_SHIFTS = re.compile(r"\s\s+|[^\x00-\x7f]")
+
+
 def _normalize_with_offsets(text: str) -> tuple[str, list[int], list[int]]:
-    """Casefold and collapse whitespace, tracking each normalized character's
-    raw [start, end) range so matches map back to raw offsets."""
-    chars: list[str] = []
-    starts: list[int] = []
-    ends: list[int] = []
-    for idx, ch in enumerate(text):
-        if ch.isspace():
-            if chars and chars[-1] == " ":
-                ends[-1] = idx + 1
-            elif chars:
-                chars.append(" ")
-                starts.append(idx)
-                ends.append(idx + 1)
-            # leading whitespace produces nothing
-        else:
-            for folded in ch.casefold():
-                chars.append(folded)
-                starts.append(idx)
-                ends.append(idx + 1)
-    return "".join(chars), starts, ends
+    """Casefold and collapse whitespace, dropping leading whitespace. Returns
+    the normalized text and a sparse map back to raw offsets: anchors at
+    normalized positions, ascending from 0, and their raw offsets. The raw
+    start of position p is `_raw_start(positions, raws, p)`. The folded
+    characters of one raw character (ß -> ss) all start at that character."""
+    stripped = text.lstrip()
+    lead = len(text) - len(stripped)
+    collapsed = " ".join(stripped.split()) + (" " if stripped[-1:].isspace() else "")
+    haystack = collapsed.casefold()
+    positions, raws = [0], [lead]
+    if len(collapsed) == len(stripped) and len(haystack) == len(collapsed):
+        return haystack, positions, raws  # one raw character per normalized one
+    shift = lead  # raw offset minus normalized offset before the next match
+    for match in _SHIFTS.finditer(stripped):
+        raw = match.start() + lead
+        pos = raw - shift
+        width = match.end() - match.start()
+        if width > 1:  # a whitespace run: one space, then the text after the run
+            positions.append(pos + 1)
+            raws.append(raw + width)
+            shift += width - 1
+            continue
+        folded = len(match.group().casefold())
+        if folded > 1:
+            positions.extend(range(pos + 1, pos + folded + 1))
+            raws.extend([raw] * (folded - 1))
+            raws.append(raw + 1)
+            shift -= folded - 1
+    return haystack, positions, raws
+
+
+def _raw_start(positions: list[int], raws: list[int], pos: int) -> int:
+    """The raw offset where normalized position `pos` starts."""
+    i = bisect_right(positions, pos) - 1
+    return raws[i] + pos - positions[i]
 
 
 def _normalize_element(element: str) -> str:
@@ -98,17 +121,22 @@ def _ground_in(
     needle = _normalize_element(element)
     if not needle:
         return False, []
-    haystack, starts, ends = normalized
+    haystack, positions, raws = normalized
     spans: list[GroundingSpan] = []
     pos = haystack.find(needle)
     while pos != -1:
         last = pos + len(needle) - 1
+        char_start = _raw_start(positions, raws, pos)
+        last_start = _raw_start(positions, raws, last)
         # Skip matches whose edges fall inside a single raw character's
         # casefold expansion (e.g. the two 's' of a folded sharp s).
-        start_aligned = pos == 0 or starts[pos] != starts[pos - 1]
-        end_aligned = last + 1 == len(haystack) or starts[last + 1] != starts[last]
+        start_aligned = pos == 0 or char_start != _raw_start(positions, raws, pos - 1)
+        end_aligned = (last + 1 == len(haystack)
+                       or _raw_start(positions, raws, last + 1) != last_start)
         if start_aligned and end_aligned:
-            char_start, char_end = starts[pos], ends[last]
+            # a match ends on a folded character, never on a space, so it
+            # ends one raw character after that character's start
+            char_end = last_start + 1
             spans.append(
                 GroundingSpan(
                     element_kind=kind,

@@ -1,12 +1,12 @@
 """Text-generation backends with a persistent completion cache.
 
-Two backends share one contract: a live completions-style HTTP backend and a
-replay backend serving pre-recorded fixtures, which makes every pipeline run
-a pure function of its inputs. Completions are cached keyed by a digest of
-the full request, so interrupted runs resume without new calls. The cache is
-one append-only log indexed in memory (the log-structured hash table of
-Bitcask, Sheehy & Smith 2010), and concurrent misses on one key share one
-backend call. Replay fixtures are written through `jsonl.write_jsonl`, so a
+Two backends share one contract, `complete` and `close`: a live
+completions-style HTTP backend and a replay backend serving pre-recorded
+fixtures, which makes every pipeline run a pure function of its inputs.
+Completions are cached keyed by a digest of the full request, so interrupted
+runs resume without new calls. The cache is one append-only log indexed in
+memory (the log-structured hash table of Bitcask, Sheehy & Smith 2010), and
+concurrent misses on one key share one backend call. Replay fixtures are written through `jsonl.write_jsonl`, so a
 fixture file is whole or unchanged.
 """
 
@@ -151,6 +151,9 @@ class ReplayBackend:
                 f"no replay fixture for key {key} (prompt tail: {excerpt!r})"
             ) from None
 
+    def close(self):
+        """Nothing to release: the fixtures are in memory."""
+
 
 def write_replay_fixture(path, entries: list[tuple[GenerationRequest, str]]):
     """Write (request, completion) pairs as a replay fixture file."""
@@ -171,14 +174,19 @@ class HTTPBackend:
     retry it waits the seconds a 429 or 503 response's Retry-After header
     asks for (RFC 9110 §10.2.3), or else a full-jitter exponential backoff,
     uniform(0, RETRY_BASE_DELAY * 2**attempt).
+
+    Unless a `session` is given, requests go through a
+    `transport.KeepAliveSession`, which keeps connections open between calls
+    until `close`.
     """
 
     def __init__(self, endpoint: str, session=None, timeout: float = 120.0,
                  api_key: str | None = None):
+        self._owns_session = session is None
         if session is None:
-            import requests
+            from .transport import KeepAliveSession
 
-            session = requests.Session()
+            session = KeepAliveSession()
         self._session = session
         self._endpoint = endpoint
         self._timeout = timeout
@@ -231,6 +239,12 @@ class HTTPBackend:
                                attempt + 1, last_error, delay)
                 time.sleep(delay)
         raise last_error  # type: ignore[misc]
+
+    def close(self):
+        """Close the idle connections of the session this backend made. A
+        session passed in is its caller's to close."""
+        if self._owns_session:
+            self._session.close()
 
 
 def _retry_after(response) -> float | None:

@@ -18,6 +18,7 @@ import io
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -255,7 +256,7 @@ def run_extract(config: RunConfig) -> Path:
             return None, f"extract: {exc}"
         return rows, None
 
-    with CompletionCache(config.cache_dir) as cache:
+    with closing(backend), CompletionCache(config.cache_dir) as cache:
         return _run_stage(config, records, "graphs.jsonl", "extracted", worker)
 
 
@@ -333,7 +334,7 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
             return None, f"answer: {exc}"
         return [row], None
 
-    with CompletionCache(config.cache_dir) as cache:
+    with closing(backend), CompletionCache(config.cache_dir) as cache:
         return _run_stage(config, records, "predictions.jsonl", "answered", worker)
 
 

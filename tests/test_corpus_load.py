@@ -72,6 +72,9 @@ SCHEMA_ERRORS = {
         _record("bad", context=[["", [1]]]),
         "record 1: bad field 'context' (entry 0 has non-string sentences)"),
     "missing _id": (_without("_id"), "record 1: bad field '_id' (missing)"),
+    "null _id": (_record(None), "record 1: bad field '_id' (must be a nonempty string)"),
+    "integer _id": (_record(1), "record 1: bad field '_id' (must be a nonempty string)"),
+    "empty _id": (_record(""), "record 1: bad field '_id' (must be a nonempty string)"),
     "missing question": (_without("question"), "record 1: bad field 'question' (missing)"),
     "missing context": (_without("context"), "record 1: bad field 'context' (missing)"),
     "empty question": (
@@ -91,6 +94,18 @@ SCHEMA_ERRORS = {
     "supporting fact without a title": (
         _record("bad", supporting_facts=[["T", 0], [0, 0]]),
         "record 1: bad field 'supporting_facts' (entry 1 is not a [title, sent_idx] pair)"),
+    "supporting fact of one item": (
+        _record("bad", supporting_facts=[["T"]]),
+        "record 1: bad field 'supporting_facts' (entry 0 is not a [title, sent_idx] pair)"),
+    "supporting fact of three items": (
+        _record("bad", supporting_facts=[["T", 0, 1]]),
+        "record 1: bad field 'supporting_facts' (entry 0 is not a [title, sent_idx] pair)"),
+    "supporting fact with a string index": (
+        _record("bad", supporting_facts=[["T", 0], ["T", "x"]]),
+        "record 1: bad field 'supporting_facts' (entry 1 is not a [title, sent_idx] pair)"),
+    "supporting fact with a boolean index": (
+        _record("bad", supporting_facts=[["T", True]]),
+        "record 1: bad field 'supporting_facts' (entry 0 is not a [title, sent_idx] pair)"),
 }
 
 

@@ -6,6 +6,9 @@ from hypothesis import given, strategies as st
 from sgqa.corpus import Paragraph
 from sgqa.graph import Entity, Triple, entities_graph, multi_step_graph
 from sgqa.grounding import (
+    _ground_in,
+    _normalize_with_offsets,
+    _raw_start,
     ground_element,
     grounding_report,
     render_highlights,
@@ -191,3 +194,63 @@ def test_span_slices_normalize_to_element(element):
             paragraph.text[span.char_start : span.char_end].casefold().split()
         )
         assert slice_norm == needle
+
+
+# ------------------------------------------------- reference normalisation
+
+def reference_normalize(text):
+    """The per-character normalisation `_normalize_with_offsets` replaced:
+    each normalized character's raw [start, end)."""
+    chars, starts, ends = [], [], []
+    for idx, ch in enumerate(text):
+        if ch.isspace():
+            if chars and chars[-1] == " ":
+                ends[-1] = idx + 1
+            elif chars:
+                chars.append(" ")
+                starts.append(idx)
+                ends.append(idx + 1)
+        else:
+            for folded in ch.casefold():
+                chars.append(folded)
+                starts.append(idx)
+                ends.append(idx + 1)
+    return "".join(chars), starts, ends
+
+
+def reference_spans(element, text):
+    """(start, end) of every span the per-character `_ground_in` found."""
+    needle = " ".join(element.casefold().split())
+    haystack, starts, ends = reference_normalize(text)
+    found, pos = [], haystack.find(needle) if needle else -1
+    while pos != -1:
+        last = pos + len(needle) - 1
+        if ((pos == 0 or starts[pos] != starts[pos - 1])
+                and (last + 1 == len(haystack) or starts[last + 1] != starts[last])):
+            found.append((starts[pos], ends[last]))
+            pos = haystack.find(needle, pos + len(needle))
+        else:
+            pos = haystack.find(needle, pos + 1)
+    return found
+
+
+# Characters whose casefold expands (ß, ﬁ, İ, ŉ), final sigma, whitespace
+# that is not ASCII or not a space (U+001C is whitespace to str.isspace).
+TRICKY = "aAsSiß ﬁİŉςΣσ\t\n\x1c\u00a0\u2003\u3000"
+texts = st.text(alphabet=st.sampled_from(TRICKY) | st.characters(), max_size=40)
+
+
+@given(texts)
+def test_normalize_matches_per_character_reference(text):
+    haystack, positions, raws = _normalize_with_offsets(text)
+    want, starts, _ = reference_normalize(text)
+    assert haystack == want
+    assert [_raw_start(positions, raws, p) for p in range(len(haystack))] == starts
+
+
+@given(texts, st.data())
+def test_spans_match_per_character_reference(text, data):
+    start = data.draw(st.integers(0, len(text)))
+    element = text[start:data.draw(st.integers(start, len(text)))]
+    _, spans = _ground_in(element, text, _normalize_with_offsets(text), "entity")
+    assert [(s.char_start, s.char_end) for s in spans] == reference_spans(element, text)

@@ -1,0 +1,32 @@
+"""sgqa has no runtime dependencies: every module imports only the standard
+library and sgqa itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sgqa"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def imported_packages(path):
+    """(line, top-level package) of every absolute import in the file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.partition(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+def test_every_module_is_checked():
+    assert {"llm.py", "transport.py", "pipeline.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_stdlib_and_sgqa(path):
+    allowed = sys.stdlib_module_names | {"sgqa"}
+    outside = [f"{path.name}:{line}: {name}"
+               for line, name in imported_packages(path) if name not in allowed]
+    assert outside == []

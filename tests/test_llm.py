@@ -1,9 +1,11 @@
 import json
 import random
+import socket
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -21,6 +23,7 @@ from sgqa.llm import (
     request_key,
     write_replay_fixture,
 )
+from sgqa import transport
 
 
 def make_request(**overrides):
@@ -399,3 +402,165 @@ def test_http_backend_full_jitter_backoff(monkeypatch):
     assert backend.complete(make_request()) == "ok"
     assert bounds == [(0, 1.0), (0, 2.0)]
     assert sleeps == [0.25, 0.5]
+
+
+# --------------------------------------------------------------- transport
+
+class _CompletionHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    timeout = 10  # a connection the client leaves open ends its thread after this
+
+    def log_message(self, format, *args):
+        pass
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        server = self.server
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            server.requests.append((self.path, self.headers["Host"], body))
+            status, headers = server.replies.pop(0) if server.replies else (200, {})
+        payload = json.dumps({"choices": [{"text": "ok"}]} if status == 200 else {}).encode()
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+        # closes the connection after the reply, without a Connection: close header
+        self.close_connection = server.close_after_reply
+
+    def do_CONNECT(self):
+        with self.server.lock:
+            self.server.tunnels.append(self.path)
+        self.send_response(502)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+        self.close_connection = True
+
+
+class CompletionServer(ThreadingHTTPServer):
+    """An in-thread completions server: it answers each POST with the next
+    of `replies`, (status, headers), or else with a 200 completion "ok", and
+    records the connections, requests and CONNECT tunnels it sees."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _CompletionHandler)
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.requests = []  # (request-target, Host header, JSON body)
+        self.tunnels = []
+        self.replies = []
+        self.close_after_reply = False
+        self.base = f"http://127.0.0.1:{self.server_address[1]}"
+        self.url = f"{self.base}/v1/completions"
+
+
+# RFC 6761 reserves .invalid; lookups of it are also refused in-process below
+UNRESOLVABLE = "completions.invalid"
+
+
+@pytest.fixture
+def server(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    lookup = socket.getaddrinfo
+
+    def resolve(host, *args, **kwargs):
+        if host == UNRESOLVABLE:
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+        return lookup(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", resolve)
+    srv = CompletionServer()
+    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def call(backend, prompt="p"):
+    try:
+        return backend.complete(make_request(prompt=prompt))
+    finally:
+        backend.close()
+
+
+def test_connection_closed_by_server_is_resent_once(server, monkeypatch, caplog):
+    sleeps, sends = [], []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    send = transport._send
+    monkeypatch.setattr(transport, "_send", lambda *args: sends.append(1) or send(*args))
+    server.close_after_reply = True
+    backend = HTTPBackend(server.url, api_key="k")
+    with caplog.at_level("WARNING"):
+        try:
+            assert [backend.complete(make_request(prompt=p)) for p in "abc"] == ["ok"] * 3
+        finally:
+            backend.close()
+    # calls 2 and 3 each try the kept connection, then send once on a new one
+    assert len(sends) == 5
+    assert [body["prompt"] for _, _, body in server.requests] == ["a", "b", "c"]
+    assert server.connections == 3
+    assert sleeps == [] and caplog.text == ""
+
+
+def test_concurrent_calls_open_one_connection_per_thread_at_most(server):
+    backend = HTTPBackend(server.url, api_key="k")
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(backend.complete, make_request(prompt=str(i)))
+                       for i in range(40)]
+            assert [f.result(timeout=10) for f in futures] == ["ok"] * 40
+    finally:
+        backend.close()
+    assert len(server.requests) == 40
+    assert 1 <= server.connections <= 8
+
+
+def test_http_429_retry_after_is_read_in_any_case(server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    server.replies = [(429, {"retry-after": "3"})]
+    assert call(HTTPBackend(server.url, api_key="k")) == "ok"
+    assert sleeps == [3.0]
+    assert len(server.requests) == 2
+
+
+def test_http_proxy_gets_the_absolute_uri(server, monkeypatch):
+    monkeypatch.setenv("http_proxy", server.base)
+    endpoint = f"http://{UNRESOLVABLE}:8080/v1/completions"
+    assert call(HTTPBackend(endpoint, api_key="k")) == "ok"
+    assert server.requests[0][:2] == (endpoint, f"{UNRESOLVABLE}:8080")
+
+
+def test_no_proxy_host_is_reached_directly(server, monkeypatch):
+    with socket.socket() as probe:  # a port nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        dead_proxy = f"http://127.0.0.1:{probe.getsockname()[1]}"
+    monkeypatch.setenv("http_proxy", dead_proxy)
+    monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
+    assert call(HTTPBackend(server.url, api_key="k")) == "ok"
+    assert server.requests[0][0] == "/v1/completions"
+
+
+def test_https_proxy_tunnels_with_connect(server, monkeypatch):
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    monkeypatch.setenv("https_proxy", server.base)
+    backend = HTTPBackend(f"https://{UNRESOLVABLE}/v1/completions", api_key="k")
+    with pytest.raises(BackendError, match="transport error: Tunnel connection failed: 502"):
+        call(backend)
+    assert server.tunnels == [f"{UNRESOLVABLE}:443"] * 3
+    assert server.requests == []
