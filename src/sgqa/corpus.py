@@ -2,8 +2,9 @@
 
 Both datasets ship as a JSON array of records with `_id`, `question`,
 `answer`, `supporting_facts` ([title, sent_idx] pairs) and `context`
-([title, [sentences]] pairs); 2Wiki adds an `evidences` field which is
-ingested but unused downstream.
+([title, [sentences]] pairs). 2Wiki records also carry an `evidences`
+field, which nothing downstream reads, so both formats load the same way
+and the field is ignored.
 
 `load_dataset` costs little more than parsing the JSON. It checks each
 context entry in one pass, with the sentence-type check at C speed, and it
@@ -21,7 +22,7 @@ import gc
 import json
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 logger = logging.getLogger(__name__)
 
@@ -79,8 +80,6 @@ class QuestionRecord:
     gold_answer: str
     context: tuple[Paragraph, ...]
     supporting_titles: frozenset[str]
-    # 2Wiki-only raw evidences, kept for round-tripping; never consumed.
-    evidences: tuple = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,8 @@ def _parse_supporting_titles(raw_facts, index: int) -> frozenset[str]:
 
 
 def load_dataset(path, format: str = "hotpotqa") -> list[QuestionRecord]:
-    """Load a dataset file into typed records.
+    """Load a dataset file into typed records. Both FORMATS read the same
+    fields; `format` is only checked to be one of them.
 
     Raises DatasetParseError on a file that is not UTF-8 or not JSON (with the
     byte offset) and DatasetSchemaError naming the record index and field on
@@ -148,7 +148,7 @@ def load_dataset(path, format: str = "hotpotqa") -> list[QuestionRecord]:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _build_records(_read_json(path), path, format)
+        return _build_records(_read_json(path), path)
     finally:
         if enabled:
             gc.enable()
@@ -173,7 +173,7 @@ def _read_json(path):
         ) from exc
 
 
-def _build_records(data, path, format: str) -> list[QuestionRecord]:
+def _build_records(data, path) -> list[QuestionRecord]:
     if not isinstance(data, list):
         raise DatasetParseError(f"{path}: expected a top-level JSON array of records")
     records = []
@@ -196,9 +196,6 @@ def _build_records(data, path, format: str) -> list[QuestionRecord]:
             raise DatasetSchemaError(index, "question", "must be a nonempty string")
         if not isinstance(answer, str) or not answer:
             raise DatasetSchemaError(index, "answer", "must be a nonempty string")
-        evidences = ()
-        if format == "2wiki":
-            evidences = tuple(tuple(e) for e in raw.get("evidences", []))
         records.append(
             QuestionRecord(
                 id=record_id,
@@ -206,7 +203,6 @@ def _build_records(data, path, format: str) -> list[QuestionRecord]:
                 gold_answer=answer,
                 context=context,
                 supporting_titles=titles,
-                evidences=evidences,
             )
         )
     return records
@@ -215,16 +211,13 @@ def _build_records(data, path, format: str) -> list[QuestionRecord]:
 def record_to_dict(record: QuestionRecord) -> dict:
     """Re-serialize a record into the published schema (supporting sent indices
     are not retained by the typed model and are emitted as 0)."""
-    out = {
+    return {
         "_id": record.id,
         "question": record.question,
         "answer": record.gold_answer,
         "supporting_facts": [[t, 0] for t in sorted(record.supporting_titles)],
         "context": [[p.title, list(p.sentences)] for p in record.context],
     }
-    if record.evidences:
-        out["evidences"] = [list(e) for e in record.evidences]
-    return out
 
 
 def gold_paragraphs(record: QuestionRecord) -> list[Paragraph]:

@@ -118,10 +118,6 @@ class SemanticGraph:
                 raise ValueError(f"triple endpoint missing from entity list: {triple}")
 
 
-def _is_section_marker(line: str) -> bool:
-    return any(line.startswith(marker) for marker in SECTION_MARKERS)
-
-
 def _candidate_lines(raw: str):
     """Yield (line_number, stripped_text) for nonblank lines, stopping at the
     first line that opens a new prompt section (over-generation guard)."""
@@ -129,7 +125,7 @@ def _candidate_lines(raw: str):
         stripped = line.strip()
         if not stripped:
             continue
-        if _is_section_marker(stripped):
+        if stripped.startswith(SECTION_MARKERS):
             return
         yield number, stripped
 

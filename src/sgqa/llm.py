@@ -34,6 +34,7 @@ QA_MAX_TOKENS_CAP = 512
 
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY = 1.0
+RETRY_AFTER_MAX = 60.0  # seconds; a server that asks for longer fails the call
 
 API_KEY_ENV = "SGQA_API_KEY"
 
@@ -173,7 +174,8 @@ class HTTPBackend:
     4xx responses and a 200 body without the text fail at once. Before a
     retry it waits the seconds a 429 or 503 response's Retry-After header
     asks for (RFC 9110 §10.2.3), or else a full-jitter exponential backoff,
-    uniform(0, RETRY_BASE_DELAY * 2**attempt).
+    uniform(0, RETRY_BASE_DELAY * 2**attempt). A Retry-After above
+    RETRY_AFTER_MAX seconds fails the call at once, without sleeping.
 
     Unless a `session` is given, requests go through a
     `transport.KeepAliveSession`, which keeps connections open between calls
@@ -249,11 +251,19 @@ class HTTPBackend:
 
 def _retry_after(response) -> float | None:
     """The wait a 429 or 503 response asks for in a Retry-After header given
-    in seconds; None for another status, no header or an HTTP-date."""
+    in seconds; None for another status, no header or an HTTP-date. Raises
+    BackendError for a wait above RETRY_AFTER_MAX."""
     if response.status_code not in (429, 503):
         return None
     value = response.headers.get("Retry-After", "").strip()
-    return float(value) if value.isdecimal() else None
+    if not value.isdecimal():
+        return None
+    if float(value) > RETRY_AFTER_MAX:
+        raise BackendError(
+            f"HTTP {response.status_code}: Retry-After: {value} exceeds the "
+            f"{RETRY_AFTER_MAX:g} s cap"
+        )
+    return float(value)
 
 
 def generate(request: GenerationRequest, backend) -> Completion:

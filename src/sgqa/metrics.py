@@ -18,7 +18,11 @@ for bit:
 - ROUGE-L takes the LCS length from the bit-parallel recurrence of Allison &
   Dix (1986) in Hyyro's form (2004): O(len(candidate) * len(reference) / w)
   word operations on Python ints, the same length as the quadratic DP.
-- ROUGE-1/2 tokenize each text once per pair and count n-gram multisets.
+- ROUGE-1/2 and answer F1 take the n-gram multiset overlap of Lin (2004):
+  the sum over shared n-grams of the smaller count. `_overlap` intersects
+  the two n-gram sets in C and counts n-grams only when both sides repeat
+  one; otherwise each shared n-gram counts once. The overlap is an integer,
+  so the scores are the floats a full count gives.
 """
 
 from __future__ import annotations
@@ -65,10 +69,6 @@ def normalize_answer(text: str) -> str:
     return " ".join(text.split())
 
 
-def answer_tokens(text: str) -> list[str]:
-    return normalize_answer(text).split()
-
-
 def chain_tokenize(text: str) -> list[str]:
     """Tokenization for chain ROUGE: lowercase and strip punctuation but keep
     articles, since reasoning sentences are scored as prose."""
@@ -92,8 +92,9 @@ def answer_score(prediction: str, gold: str) -> AnswerScore:
     pred_tokens = pred_text.split()
     gold_tokens = gold_text.split()
     em = float(pred_text == gold_text)
-    overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
-    precision, recall, f1 = _prf(overlap, len(pred_tokens), len(gold_tokens))
+    precision, recall, f1 = _prf(
+        _overlap(pred_tokens, gold_tokens), len(pred_tokens), len(gold_tokens)
+    )
     return AnswerScore(em=em, f1=f1, precision=precision, recall=recall)
 
 
@@ -108,8 +109,19 @@ def aggregate_scores(scores: list[AnswerScore] | list[RougeScore]):
     )
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tokens) if n == 1 else Counter(zip(tokens, tokens[1:]))
+def _overlap(a: list, b: list) -> int:
+    """Size of the multiset intersection of `a` and `b`: the sum over shared
+    items of the smaller of their two counts."""
+    set_a = set(a)
+    set_b = set(b)
+    common = set_a & set_b
+    if not common:
+        return 0
+    if len(set_a) == len(a) or len(set_b) == len(b):
+        return len(common)  # one side has no repeats: each shared item counts once
+    count_a = Counter(a)
+    count_b = Counter(b)
+    return sum(map(min, map(count_a.__getitem__, common), map(count_b.__getitem__, common)))
 
 
 def _rouge_n_tokens(cand: list[str], ref: list[str], n: int) -> float:
@@ -117,10 +129,10 @@ def _rouge_n_tokens(cand: list[str], ref: list[str], n: int) -> float:
     total_ref = len(ref) - n + 1
     if total_cand <= 0 or total_ref <= 0:
         return 0.0
-    cand_counts = _ngrams(cand, n)
-    ref_counts = _ngrams(ref, n)
-    overlap = sum(min(c, ref_counts[g]) for g, c in cand_counts.items() if g in ref_counts)
-    return _prf(overlap, total_cand, total_ref)[2]
+    if n == 2:
+        cand = list(zip(cand, cand[1:]))
+        ref = list(zip(ref, ref[1:]))
+    return _prf(_overlap(cand, ref), total_cand, total_ref)[2]
 
 
 def rouge_n(candidate: str, reference: str, n: int) -> float:

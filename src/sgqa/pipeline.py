@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from . import chain as chain_mod
 from . import corpus, graph as graph_mod, grounding, metrics, prompts
@@ -155,6 +156,10 @@ def make_backend(config: RunConfig):
         return ReplayBackend.from_file(config.replay_file)
     if not config.endpoint:
         raise UsageError("live backend needs --endpoint")
+    if urlsplit(config.endpoint).scheme not in ("http", "https"):
+        raise UsageError(
+            f"live backend endpoint {config.endpoint!r} needs an http:// or https:// scheme"
+        )
     return HTTPBackend(config.endpoint)
 
 

@@ -73,20 +73,25 @@ def test_load_dataset_empty_answer_is_schema_error(tmp_path):
 
 
 def test_load_dataset_2wiki_ingests_evidences(tmp_path):
-    path = write_json(tmp_path / "wiki.json", [
+    """A 2Wiki file loads under either format; its `evidences` field is
+    ignored, whatever its shape, and does not come back from record_to_dict."""
+    raw = [
         {
-            "_id": "w1",
+            "_id": f"w{i}",
             "question": "q?",
             "answer": "a",
             "supporting_facts": [["T", 0]],
             "context": [["T", ["Some sentence."]]],
-            "evidences": [["T", "relation", "a"]],
+            "evidences": evidences,
         }
-    ])
+        for i, evidences in enumerate([[["T", "relation", "a"]], 5])
+    ]
+    path = write_json(tmp_path / "wiki.json", raw)
     records = load_dataset(path, "2wiki")
-    assert records[0].evidences == (("T", "relation", "a"),)
-    # hotpotqa format ignores the field
-    assert load_dataset(path, "hotpotqa")[0].evidences == ()
+    assert records == load_dataset(path, "hotpotqa")
+    assert [r.id for r in records] == ["w0", "w1"]
+    for record, row in zip(records, raw):
+        assert record_to_dict(record) == {k: v for k, v in row.items() if k != "evidences"}
 
 
 def test_paragraph_text_is_sentence_concatenation(windermere_paragraph):

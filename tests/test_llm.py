@@ -15,6 +15,7 @@ from sgqa.llm import (
     GenerationRequest,
     HTTPBackend,
     MissingFixtureError,
+    RETRY_AFTER_MAX,
     ReplayBackend,
     cached_generate,
     extraction_request,
@@ -386,6 +387,32 @@ def test_http_backend_honours_retry_after_seconds(monkeypatch):
     backend = HTTPBackend("http://api.test", session=session, api_key="k")
     assert backend.complete(make_request()) == "ok"
     assert sleeps == [7.0, 2.0]
+
+
+def test_http_backend_fails_at_once_on_retry_after_above_cap(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    session = StubSession([
+        StubResponse(429, headers={"Retry-After": "86400"}),
+        StubResponse(200, {"choices": [{"text": "never read"}]}),
+    ])
+    backend = HTTPBackend("http://api.test", session=session, api_key="k")
+    with pytest.raises(BackendError, match="HTTP 429: Retry-After: 86400 exceeds the 60 s cap"):
+        backend.complete(make_request())
+    assert len(session.requests) == 1
+    assert sleeps == []
+
+
+def test_http_backend_honours_retry_after_at_cap(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    session = StubSession([
+        StubResponse(503, headers={"Retry-After": str(int(RETRY_AFTER_MAX))}),
+        StubResponse(200, {"choices": [{"text": "ok"}]}),
+    ])
+    backend = HTTPBackend("http://api.test", session=session, api_key="k")
+    assert backend.complete(make_request()) == "ok"
+    assert sleeps == [RETRY_AFTER_MAX]
 
 
 def test_http_backend_full_jitter_backoff(monkeypatch):

@@ -1,17 +1,20 @@
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 import scipy.stats
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sgqa.metrics import (
     AnswerScore,
     ConstantSeriesError,
+    RougeScore,
+    _overlap,
+    _prf,
     aggregate_scores,
     answer_score,
-    answer_tokens,
     average_ranks,
     chain_tokenize,
     correlations,
@@ -41,7 +44,6 @@ def test_normalize_answer(raw, expected):
 
 def test_chain_tokenize_keeps_articles():
     assert chain_tokenize("The cat sat on a mat.") == ["the", "cat", "sat", "on", "a", "mat"]
-    assert answer_tokens("The cat sat on a mat.") == ["cat", "sat", "on", "mat"]
 
 
 # --------------------------------------------------------------- answer scores
@@ -243,6 +245,87 @@ def test_rouge_scores_equal_single_metrics():
         assert score.rouge1 == rouge_n(cand, ref, 1)
         assert score.rouge2 == rouge_n(cand, ref, 2)
         assert score.rougeL == rouge_l(cand, ref)
+
+
+# --------------------------------------------------------------- exact overlap
+# The Counter forms that `_overlap` replaced, kept as the reference: every
+# n-gram of both sides counted, and the minima summed over the shared ones.
+
+def reference_overlap(a, b):
+    return sum((Counter(a) & Counter(b)).values())
+
+
+def reference_rouge_n(cand, ref, n):
+    total_cand = len(cand) - n + 1
+    total_ref = len(ref) - n + 1
+    if total_cand <= 0 or total_ref <= 0:
+        return 0.0
+    cand_counts = Counter(cand) if n == 1 else Counter(zip(cand, cand[1:]))
+    ref_counts = Counter(ref) if n == 1 else Counter(zip(ref, ref[1:]))
+    overlap = sum(min(c, ref_counts[g]) for g, c in cand_counts.items() if g in ref_counts)
+    return _prf(overlap, total_cand, total_ref)[2]
+
+
+def reference_rouge_scores(candidate, reference):
+    cand, ref = chain_tokenize(candidate), chain_tokenize(reference)
+    return RougeScore(
+        rouge1=reference_rouge_n(cand, ref, 1),
+        rouge2=reference_rouge_n(cand, ref, 2),
+        rougeL=rouge_l(candidate, reference),
+    )
+
+
+def reference_answer_score(prediction, gold):
+    pred_text, gold_text = normalize_answer(prediction), normalize_answer(gold)
+    pred_tokens, gold_tokens = pred_text.split(), gold_text.split()
+    overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
+    precision, recall, f1 = _prf(overlap, len(pred_tokens), len(gold_tokens))
+    return AnswerScore(
+        em=float(pred_text == gold_text), f1=f1, precision=precision, recall=recall
+    )
+
+
+# A small alphabet makes repeats common on both sides; "Ünï" and "日本" are
+# non-ASCII, and the cased, punctuated and article words exercise both
+# normalizations.
+TOKENS = st.lists(st.sampled_from(["a", "b", "c", "Ünï", "日本"]), max_size=12)
+WORDS = ["a", "An", "the", "The", "cat", "cat.", "Cat", "sat,", "ünï", "Ünï!", "日本", "x"]
+TEXTS = st.lists(st.sampled_from(WORDS), max_size=16).map(" ".join)
+
+
+@given(TOKENS, TOKENS)
+@example([], [])
+@example([], ["a"])
+@example(["a"], ["a"])
+@example(["日本"], ["日本", "日本"])
+@example(["a", "a", "b"], ["a", "a", "a", "b", "b"])
+def test_overlap_equals_counter_intersection(a, b):
+    assert _overlap(a, b) == reference_overlap(a, b)
+    bigrams_a, bigrams_b = list(zip(a, a[1:])), list(zip(b, b[1:]))
+    assert _overlap(bigrams_a, bigrams_b) == reference_overlap(bigrams_a, bigrams_b)
+
+
+@given(TEXTS, TEXTS)
+@example("", "")
+@example("cat", "")
+@example("cat", "cat")
+@example("Ünï ünï 日本", "ünï 日本 日本 ünï")
+@example("a cat a cat a cat", "a cat a cat")
+def test_rouge_scores_equal_counter_reference(candidate, reference):
+    assert rouge_scores(candidate, reference) == reference_rouge_scores(candidate, reference)
+    for n in (1, 2):
+        expected = reference_rouge_n(chain_tokenize(candidate), chain_tokenize(reference), n)
+        assert rouge_n(candidate, reference, n) == expected
+
+
+@given(TEXTS, TEXTS)
+@example("", "")
+@example("the", "cat")
+@example("Cat", "cat.")
+@example("日本 日本 Ünï", "ünï 日本 日本 日本")
+@example("cat cat x", "cat x x cat")
+def test_answer_score_equals_counter_reference(prediction, gold):
+    assert answer_score(prediction, gold) == reference_answer_score(prediction, gold)
 
 
 # --------------------------------------------------------------- correlations

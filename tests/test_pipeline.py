@@ -645,6 +645,40 @@ def test_cli_extract_base_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("endpoint", [
+    "api.example.com/x", "localhost:8080/v1/completions", "ftp://api.example.com/x",
+])
+def test_make_backend_rejects_endpoint_without_http_scheme(tmp_path, endpoint):
+    config = make_config(tmp_path, backend="live", replay_file=None, endpoint=endpoint)
+    with pytest.raises(UsageError, match=re.escape(repr(endpoint))):
+        pipeline.make_backend(config)
+
+
+def test_make_backend_accepts_http_and_https(tmp_path):
+    for endpoint in ("http://127.0.0.1:8080/v1/completions", "HTTPS://api.example.com/x"):
+        config = make_config(tmp_path, backend="live", replay_file=None, endpoint=endpoint)
+        backend = pipeline.make_backend(config)
+        assert backend.backend_id == f"http:{endpoint}"
+        backend.close()
+
+
+def test_cli_answer_rejects_endpoint_without_scheme(tmp_path, capsys, monkeypatch):
+    posts, sleeps = [], []
+    monkeypatch.setattr("sgqa.transport.KeepAliveSession.post",
+                        lambda self, *args, **kwargs: posts.append(args))
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    code = run_cli([
+        "answer", "--dataset", E2E / "dataset.json", "--variant", "base",
+        "--backend", "live", "--endpoint", "api.example.com/x",
+        "--cache-dir", tmp_path / "cache", "--model", MODEL,
+        "--output-dir", tmp_path / "run",
+    ])
+    assert code == 2
+    assert "'api.example.com/x' needs an http:// or https:// scheme" in capsys.readouterr().err
+    assert posts == [] and sleeps == []
+    assert not (tmp_path / "run" / "predictions.jsonl").exists()
+
+
 def test_cli_ground_names_graph_row_without_graph(tmp_path, capsys):
     graphs = tmp_path / "graphs.jsonl"
     graphs.write_text('{"question_id": "e2e-01", "paragraph_index": 0}\n', encoding="utf-8")
