@@ -9,7 +9,6 @@ relational phrases are often inflected away from the source wording.
 from __future__ import annotations
 
 import html
-import json
 import logging
 import re
 from bisect import bisect_right
@@ -219,23 +218,6 @@ def report_to_dict(report: GroundingReport) -> dict:
     }
 
 
-def spans_from_json(text: str) -> list[GroundingSpan]:
-    """Parse render_highlights(json) output back into spans (round-trip aid)."""
-    data = json.loads(text)
-    spans = []
-    for element in data["elements"]:
-        for s in element["spans"]:
-            spans.append(
-                GroundingSpan(
-                    element_kind=s["element_kind"],
-                    char_start=s["char_start"],
-                    char_end=s["char_end"],
-                    matched_text=s["matched_text"],
-                )
-            )
-    return spans
-
-
 def _select_nonoverlapping(spans: list[GroundingSpan]) -> tuple[list[GroundingSpan], int]:
     """Keep outermost spans: sorted by start then longest-first, a span is
     dropped when it overlaps one already kept."""
@@ -250,16 +232,9 @@ def _select_nonoverlapping(spans: list[GroundingSpan]) -> tuple[list[GroundingSp
     return kept, dropped
 
 
-def render_highlights(paragraph: Paragraph, report: GroundingReport, format: str = "json") -> str:
-    """Render the report as JSON (all spans, lossless) or as a static HTML
-    page with entity and relation spans marked distinguishably."""
-    if format == "json":
-        payload = {"title": paragraph.title, "text": paragraph.text}
-        payload.update(report_to_dict(report))
-        return json.dumps(payload, ensure_ascii=False, indent=2)
-    if format != "html":
-        raise ValueError(f"unknown format {format!r}")
-
+def render_highlights(paragraph: Paragraph, report: GroundingReport) -> str:
+    """Render the report as a static HTML page with entity and relation spans
+    marked distinguishably."""
     all_spans = [s for e in report.per_element for s in e.spans]
     kept, dropped = _select_nonoverlapping(all_spans)
     if dropped:  # entity spans nested in triple fields are the normal case

@@ -30,9 +30,12 @@ def write_atomic(path, chunks) -> None:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
+    except BaseException:
+        try:
             os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def write_jsonl(path, rows) -> None:

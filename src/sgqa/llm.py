@@ -251,11 +251,13 @@ class HTTPBackend:
 
 def _retry_after(response) -> float | None:
     """The wait a 429 or 503 response asks for in a Retry-After header given
-    in seconds; None for another status, no header or an HTTP-date. Raises
+    in seconds; None for another status, no header or an HTTP-date. The
+    header's name may be in any letter case. Raises
     BackendError for a wait above RETRY_AFTER_MAX."""
     if response.status_code not in (429, 503):
         return None
-    value = response.headers.get("Retry-After", "").strip()
+    value = next((value for name, value in response.headers.items()
+                  if name.lower() == "retry-after"), "").strip()
     if not value.isdecimal():
         return None
     if float(value) > RETRY_AFTER_MAX:

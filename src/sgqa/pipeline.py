@@ -532,7 +532,7 @@ def run_ground(graphs_path, records: list[corpus.QuestionRecord], output_path,
                 **grounding.report_to_dict(report),
             }
             if html_root:
-                page = grounding.render_highlights(paragraph, report, format="html")
+                page = grounding.render_highlights(paragraph, report)
                 write_atomic(html_root / f"{record.id}_{index}.html", [page])
             count += 1
 

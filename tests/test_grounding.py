@@ -12,7 +12,6 @@ from sgqa.grounding import (
     ground_element,
     grounding_report,
     render_highlights,
-    spans_from_json,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -135,23 +134,16 @@ def test_relation_subrate_separate(alder_paragraph):
     assert report.grounding_rate == 4 / 5
 
 
-def test_render_json_round_trip(alder_graph, alder_paragraph):
-    report = grounding_report(alder_graph, alder_paragraph)
-    rendered = render_highlights(alder_paragraph, report, format="json")
-    all_spans = [s for e in report.per_element for s in e.spans]
-    assert spans_from_json(rendered) == all_spans
-
-
 def test_render_html_golden(alder_graph, alder_paragraph):
     report = grounding_report(alder_graph, alder_paragraph)
-    page = render_highlights(alder_paragraph, report, format="html")
+    page = render_highlights(alder_paragraph, report)
     assert page == (GOLDEN / "highlight.html").read_text(encoding="utf-8")
 
 
 def test_render_html_nested_spans_log_no_warning(alder_graph, alder_paragraph, caplog):
     report = grounding_report(alder_graph, alder_paragraph)
     with caplog.at_level("DEBUG", logger="sgqa.grounding"):
-        page = render_highlights(alder_paragraph, report, format="html")
+        page = render_highlights(alder_paragraph, report)
     assert "<!-- 2 overlapping span(s) dropped -->" in page
     assert "dropped 2 overlapping span(s)" in caplog.text
     assert not [r for r in caplog.records if r.levelname == "WARNING"]
@@ -161,7 +153,7 @@ def test_render_html_single_entity_marker():
     paragraph = Paragraph("T", ("Manchester is a city.",))
     graph = entities_graph("T", [Entity("Manchester")])
     report = grounding_report(graph, paragraph)
-    page = render_highlights(paragraph, report, format="html")
+    page = render_highlights(paragraph, report)
     assert page.count('<mark class="entity">') == 1
     assert "<mark class=\"relation\">" not in page
 
@@ -169,15 +161,9 @@ def test_render_html_single_entity_marker():
 def test_render_html_empty_report_escapes_text():
     paragraph = Paragraph("T", ("Fish & chips < mushy peas.",))
     report = grounding_report(entities_graph("T", []), paragraph)
-    page = render_highlights(paragraph, report, format="html")
+    page = render_highlights(paragraph, report)
     assert "Fish &amp; chips &lt; mushy peas." in page
     assert "<mark" not in page
-
-
-def test_render_unknown_format(alder_graph, alder_paragraph):
-    report = grounding_report(alder_graph, alder_paragraph)
-    with pytest.raises(ValueError, match="unknown format"):
-        render_highlights(alder_paragraph, report, format="pdf")
 
 
 @given(st.text(alphabet="abcXYZ &-", min_size=1, max_size=12).filter(lambda s: s.strip()))

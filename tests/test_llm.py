@@ -1,6 +1,7 @@
 import json
 import random
 import socket
+import socketserver
 import sys
 import threading
 import time
@@ -591,3 +592,150 @@ def test_https_proxy_tunnels_with_connect(server, monkeypatch):
         call(backend)
     assert server.tunnels == [f"{UNRESOLVABLE}:443"] * 3
     assert server.requests == []
+
+
+# --------------------------------------------------------------- HTTP/1.1 framing
+
+OK_BODY = b'{"choices": [{"text": "ok"}]}'
+
+
+def ok_reply(head=b"HTTP/1.1 200 OK\r\n", extra=b""):
+    return head + extra + b"Content-Length: %d\r\n\r\n" % len(OK_BODY) + OK_BODY
+
+
+class _RawHandler(socketserver.StreamRequestHandler):
+    timeout = 5  # a connection the client leaves open ends its thread after this
+
+    def handle(self):
+        server = self.server
+        with server.lock:
+            server.connections += 1
+        while True:
+            length = 0
+            line = self.rfile.readline()
+            if not line:
+                return
+            while line not in (b"\r\n", b""):
+                name, _, value = line.partition(b":")
+                if name.lower() == b"content-length":
+                    length = int(value)
+                line = self.rfile.readline()
+            self.rfile.read(length)
+            with server.lock:
+                server.requests += 1
+                reply, close = server.replies[0] if len(server.replies) == 1 else server.replies.pop(0)
+            self.connection.sendall(reply)
+            if close:
+                return
+
+
+class RawServer(socketserver.ThreadingTCPServer):
+    """A server that answers each request with exact bytes: the next of
+    `replies`, (bytes, close the connection after them), the last one
+    repeating. It counts the connections it accepts and the requests it reads."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _RawHandler)
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.requests = 0
+        self.replies = [(ok_reply(), False)]
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/completions"
+
+
+@pytest.fixture
+def raw_server(monkeypatch):
+    for name in ("http_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    srv = RawServer()
+    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def call_twice(server, monkeypatch):
+    """Two calls through one backend; returns their texts and the number of
+    times `transport._send` ran."""
+    sends = []
+    send = transport._send
+    monkeypatch.setattr(transport, "_send", lambda *args: sends.append(1) or send(*args))
+    backend = HTTPBackend(server.url, api_key="k", timeout=5)
+    try:
+        texts = [backend.complete(make_request(prompt=p)) for p in "ab"]
+    finally:
+        backend.close()
+    return texts, len(sends)
+
+
+def test_chunked_reply_with_extension_and_trailer(raw_server, monkeypatch):
+    raw_server.replies = [(
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 999\r\n\r\n"
+        b"%x;name=value\r\n%s\r\n%X\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n"
+        % (10, OK_BODY[:10], len(OK_BODY) - 10, OK_BODY[10:]), False)]
+    # the second call reads its reply from the same connection
+    assert call_twice(raw_server, monkeypatch) == (["ok", "ok"], 2)
+    assert raw_server.connections == 1 and raw_server.requests == 2
+
+
+def test_reply_without_length_is_read_to_the_close(raw_server, monkeypatch):
+    raw_server.replies = [(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n"
+                           + OK_BODY, True)]
+    # a reused connection would fail before its status line and be sent again
+    assert call_twice(raw_server, monkeypatch) == (["ok", "ok"], 2)
+    assert raw_server.connections == 2 and raw_server.requests == 2
+
+
+def test_interim_100_continue_is_skipped(raw_server, monkeypatch):
+    raw_server.replies = [(b"HTTP/1.1 100 Continue\r\n\r\n" + ok_reply(), False)]
+    assert call_twice(raw_server, monkeypatch) == (["ok", "ok"], 2)
+    assert raw_server.connections == 1
+
+
+def test_http_1_0_reply_without_keep_alive_closes_its_connection(raw_server, monkeypatch):
+    raw_server.replies = [(ok_reply(b"HTTP/1.0 200 OK\r\n"), False)]
+    assert call_twice(raw_server, monkeypatch) == (["ok", "ok"], 2)
+    assert raw_server.connections == 2
+
+
+def test_http_1_0_reply_with_keep_alive_keeps_its_connection(raw_server, monkeypatch):
+    raw_server.replies = [(ok_reply(b"HTTP/1.0 200 OK\r\n", b"Connection: Keep-Alive\r\n"), False)]
+    assert call_twice(raw_server, monkeypatch) == (["ok", "ok"], 2)
+    assert raw_server.connections == 1
+
+
+def test_head_of_100_header_lines_of_65536_bytes_is_read(raw_server, monkeypatch):
+    long_line = b"X-Long: " + b"a" * (transport.MAX_LINE - 10) + b"\r\n"
+    assert len(long_line) == transport.MAX_LINE
+    many = b"".join(b"X-%d: %d\r\n" % (i, i) for i in range(transport.MAX_HEADERS - 2))
+    raw_server.replies = [(ok_reply(extra=long_line + many), False)]
+    assert call_twice(raw_server, monkeypatch) == (["ok", "ok"], 2)
+
+
+@pytest.mark.parametrize("reply, error", [
+    (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(OK_BODY) + 1, OK_BODY),
+     r"IncompleteRead\(29 bytes read, 1 more expected\)"),
+    (ok_reply(extra=b"X-Long: " + b"a" * (transport.MAX_LINE - 9) + b"\r\n"),
+     "got more than 65536 bytes when reading header line"),
+    (ok_reply(extra=b"".join(b"X-%d: %d\r\n" % (i, i) for i in range(transport.MAX_HEADERS))),
+     "got more than 100 headers"),
+    (ok_reply(b"HTTP/2 200 OK\r\n"), r"b'HTTP/2 200 OK\\r\\n'"),
+    (ok_reply(extra=b"Content-Length: 1\r\n"), "bad or conflicting Content-Length"),
+], ids=["short-body", "long-header-line", "101-headers", "bad-status-line", "two-lengths"])
+def test_framing_error_is_a_transport_error(raw_server, monkeypatch, reply, error):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    raw_server.replies = [(reply, True)]
+    backend = HTTPBackend(raw_server.url, api_key="k", timeout=5)
+    with pytest.raises(BackendError, match=f"^transport error: {error}"):
+        call(backend)
+    assert raw_server.requests == raw_server.connections == 3
+    assert len(sleeps) == 2

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -158,6 +160,26 @@ def test_end_to_end_determinism(tmp_path):
     pipeline.run_extract(config_b)
     b = pipeline.run_answer(config_b).read_bytes()
     assert a == b
+
+
+def test_replay_run_never_loads_the_http_stack(tmp_path):
+    """In a fresh interpreter, extract and answer on the replay backend leave
+    the transport, http.client and ssl unimported."""
+    config = make_config(tmp_path).snapshot()
+    script = (
+        "import json, sys\n"
+        "from sgqa import pipeline\n"
+        "config = pipeline.RunConfig(**json.loads(sys.argv[1]))\n"
+        "pipeline.run_extract(config)\n"
+        "pipeline.run_answer(config)\n"
+        "print(json.dumps(sorted({'sgqa.transport', 'http.client', 'ssl'} & set(sys.modules))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sgqa.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(config)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+    assert (tmp_path / "run" / "predictions.jsonl").exists()
 
 
 def test_workers_do_not_change_output(tmp_path):
