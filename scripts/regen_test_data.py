@@ -118,7 +118,7 @@ def write_grounding_golden():
                           graph_mod.Entity("Thomas Alder"))],
     )
     report = grounding.grounding_report(graph, paragraph)
-    page = grounding.render_highlights(paragraph, report, format="html")
+    page = grounding.render_highlights(paragraph, report)
     (GOLDEN_DIR / "highlight.html").write_text(page, encoding="utf-8")
     print(f"grounding golden written to {GOLDEN_DIR / 'highlight.html'}")
 

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 ANSWER_PATTERN = re.compile(r"so the answer is:?\s*", re.IGNORECASE)
 
-# Heuristic ceiling for "short" sentences, in words.
-DEFAULT_MAX_SENTENCE_WORDS = 25
-
 _SENTENCE_BOUNDARY = re.compile(r"(?<=\.)\s+")
 _QUOTE_CHARS = "\"'`"
 
@@ -32,12 +29,6 @@ class ReasoningChain:
     answer_sentence: str
     extracted_answer: str
     used_fallback: bool = False
-
-
-@dataclass(frozen=True)
-class ChainFormatReport:
-    well_formed: bool
-    violations: tuple[tuple[str, str], ...] = ()
 
 
 def _clean_answer(text: str) -> str:
@@ -99,25 +90,3 @@ def parse_chain(completion: str) -> ReasoningChain:
         extracted_answer=answer,
         used_fallback=used_fallback,
     )
-
-
-def validate_chain(
-    chain: ReasoningChain, max_words: int = DEFAULT_MAX_SENTENCE_WORDS
-) -> ChainFormatReport:
-    """Surface-level format checks: answer pattern present, sentences short,
-    no verbatim repeats. Whether each sentence truly states one relation is
-    not machine-checkable and is not attempted."""
-    violations: list[tuple[str, str]] = []
-    if not ANSWER_PATTERN.search(chain.answer_sentence):
-        violations.append(("answer-pattern", "final sentence lacks the answer pattern"))
-    all_sentences = list(chain.sentences) + [chain.answer_sentence]
-    for i, sentence in enumerate(all_sentences):
-        words = len(sentence.split())
-        if words > max_words:
-            violations.append(("length", f"sentence {i + 1} has {words} words (cap {max_words})"))
-    seen: set[str] = set()
-    for sentence in all_sentences:
-        if sentence in seen:
-            violations.append(("repeat", sentence))
-        seen.add(sentence)
-    return ChainFormatReport(well_formed=not violations, violations=tuple(violations))

@@ -7,7 +7,8 @@ even if the process is killed mid-write.
 The one exception is an append-only log, which is appended to, never renamed
 into place: the completion cache's `completions.jsonl`. Each line is appended
 in one unbuffered write, so a kill leaves at most a torn last line, one
-without its newline, and `read_log` drops that line and cuts it off the file.
+without its newline. The log is never cut: `read_log` skips a torn line like
+any other corrupt one, and the next append starts a new line after it.
 """
 
 from __future__ import annotations
@@ -56,22 +57,17 @@ def read_jsonl(path):
 
 
 def read_log(path):
-    """Yield (line number, row) for each complete line of the append-only log
-    at `path`; a missing file has none. A line that is not JSON is skipped
-    with a warning. A torn last line is dropped with a warning and the file
-    is truncated to the last newline, so the next append starts a new line."""
+    """Yield (line number, row) for each nonblank line of the append-only log
+    at `path`; a missing file has none. A line that is not JSON, such as a
+    torn last line, is skipped with a warning."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
         return
     with fh:
-        complete = 0  # bytes up to and including the last newline
         for line_no, line in enumerate(fh, start=1):
-            if not line.endswith(b"\n"):
-                logger.warning("%s:%d: torn last line dropped", path, line_no)
-                os.truncate(path, complete)
-                return
-            complete += len(line)
+            if line.isspace():
+                continue
             try:
                 row = json.loads(line)
             except ValueError as exc:  # malformed JSON or UTF-8
@@ -81,12 +77,20 @@ def read_log(path):
 
 
 def open_log(path):
-    """Open the append-only log at `path` for `append_line`, creating it."""
-    return open(path, "ab", buffering=0)
+    """Open the append-only log at `path` for `append_line`, creating it. If
+    the file does not end in a newline, its last line is torn or another
+    process is still appending it, so the first append starts with a newline.
+    None is written now: it could land inside that other process's line."""
+    log = open(path, "a+b", buffering=0)  # readable too, for the last byte
+    log.seek(max(log.tell() - 1, 0))  # append mode opens at the end
+    ends_mid_line = log.read(1) not in (b"", b"\n")
+    log.lead = b"\n" if ends_mid_line else b""  # written before the next line
+    return log
 
 
 def append_line(log, text: str) -> None:
     """Append `text` and a newline to a log from `open_log` in one write."""
-    data = (text + "\n").encode("utf-8")
+    data = log.lead + (text + "\n").encode("utf-8")
+    log.lead = b""
     if log.write(data) != len(data):
         raise OSError(f"{log.name}: short write to an append-only log")

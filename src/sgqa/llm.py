@@ -131,7 +131,6 @@ class ReplayBackend:
     """
 
     backend_id = "replay"
-    instant = True  # replayed completions report zero latency
 
     def __init__(self, fixtures: dict[str, str]):
         self._fixtures = dict(fixtures)
@@ -274,7 +273,7 @@ def generate(request: GenerationRequest, backend) -> Completion:
         logger.debug("raw request (key=%s):\n%s", request_key(request)[:12], request.prompt)
     start = time.monotonic()
     raw = backend.complete(request)
-    latency = 0.0 if getattr(backend, "instant", False) else time.monotonic() - start
+    latency = time.monotonic() - start
     logger.debug("raw response (%.3fs):\n%s", latency, raw)
     text = _truncate_at_stop(raw, request.stop_sequences)
     return Completion(text=text, backend_id=backend.backend_id, cached=False, latency=latency)
@@ -288,19 +287,16 @@ class CompletionCache:
     Crash contract:
     - Every complete line is a valid entry: `put` appends its line in one
       write, under a lock, and indexes it.
-    - At open, a torn last line (a put killed mid-write) is dropped with a
-      warning and the file is truncated to the last newline.
-    - A corrupt line elsewhere is skipped with a warning; its request is
-      generated again on the next miss. Of two lines with one key, the
-      later wins.
+    - The log is never cut. A corrupt line, such as a torn last line (a put
+      killed mid-write), is skipped with a warning; its request is generated
+      again on the next miss. If the log ends mid-line at open, the first
+      put starts a new line. Of two lines with one key, the later wins.
     - The one-file-per-completion `objects/` directory of earlier versions
       is not read.
 
     Concurrent misses on one key make one backend call (`fill`). Several
     instances on one directory may all append; each sees the others' entries
-    when reopened, and one that opens while another process is mid-append
-    takes that line for a torn one. `close` the cache, or use it in a `with`
-    block.
+    when reopened. `close` the cache, or use it in a `with` block.
     """
 
     def __init__(self, cache_dir):

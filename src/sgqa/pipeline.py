@@ -20,6 +20,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -41,6 +42,12 @@ logger = logging.getLogger(__name__)
 ANSWER_COLUMNS = ("em", "f1", "precision", "recall")
 ROUGE_COLUMNS = ("rouge1", "rouge2", "rougeL")
 GRAPH_FIELDS = ("question_id", "paragraph_index", "graph")  # of a graphs.jsonl row
+# The JSON type each field of an input row must have, by field name.
+_FIELD_TYPES = {
+    **dict.fromkeys(("question_id", "variant", "setting", "answer", "completion", "chain"), str),
+    "label": int, "paragraph_index": int, "graph": dict,
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
 
 
 class UsageError(ValueError):
@@ -265,18 +272,40 @@ def run_extract(config: RunConfig) -> Path:
         return _run_stage(config, records, "graphs.jsonl", "extracted", worker)
 
 
+def _read_rows(paths, fields, what: str, key):
+    """Yield (path, line number, row) for each row of the JSONL files. A row
+    that lacks one of `fields` or holds it with another JSON type, or whose
+    `key(row)` an earlier row of any of the files has, is rejected naming
+    its file and line; `what` names the key in that message."""
+    first_at = {}
+    for path in paths:
+        for line_no, row in read_jsonl(path):
+            for name in fields:
+                if not isinstance(row, dict) or name not in row:
+                    raise ValueError(f"{path}:{line_no}: missing field {name!r}")
+                kind = _FIELD_TYPES[name]
+                if type(row[name]) is not kind:
+                    raise ValueError(f"{path}:{line_no}: field {name!r} must be "
+                                     f"{_TYPE_NAMES[kind]}, got {json.dumps(row[name])}")
+            row_key = key(row)
+            if row_key in first_at:
+                first_path, first_line = first_at[row_key]
+                raise ValueError(f"{path}:{line_no}: duplicate {what} {row_key!r} "
+                                 f"(first at {first_path}:{first_line})")
+            first_at[row_key] = (path, line_no)
+            yield path, line_no, row
+
+
+def _read_graph_rows(path):
+    return _read_rows([path], GRAPH_FIELDS, "(question_id, paragraph_index)",
+                      itemgetter("question_id", "paragraph_index"))
+
+
 def load_graphs(path) -> dict[str, dict[int, graph_mod.SemanticGraph]]:
     graphs: dict[str, dict[int, graph_mod.SemanticGraph]] = {}
-    for line_no, row in read_jsonl(path):
-        _require_fields(path, line_no, row, GRAPH_FIELDS)
-        by_index = graphs.setdefault(row["question_id"], {})
-        index = row["paragraph_index"]
-        if index in by_index:
-            raise ValueError(
-                f"{path}:{line_no}: duplicate (question_id, paragraph_index) "
-                f"({row['question_id']!r}, {index})"
-            )
-        by_index[index] = graph_mod.graph_from_dict(row["graph"])
+    for _, _, row in _read_graph_rows(path):
+        graphs.setdefault(row["question_id"], {})[row["paragraph_index"]] = (
+            graph_mod.graph_from_dict(row["graph"]))
     return graphs
 
 
@@ -343,28 +372,13 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
         return _run_stage(config, records, "predictions.jsonl", "answered", worker)
 
 
-def _require_fields(path, line_no: int, row, names) -> None:
-    for name in names:
-        if not isinstance(row, dict) or name not in row:
-            raise ValueError(f"{path}:{line_no}: missing field {name!r}")
-
-
 def read_predictions(paths) -> list[dict]:
-    """Prediction rows of all the JSONL files. A row without a field that
+    """Prediction rows of all the JSONL files. A row that lacks a string field
     run_evaluate reads, or with a (variant, setting, question_id) that an
     earlier row of any of the files has, is rejected naming its file and line."""
-    rows, first_at = [], {}
-    for path in paths:
-        for line_no, row in read_jsonl(path):
-            _require_fields(path, line_no, row,
-                            ("question_id", "variant", "setting", "answer", "completion"))
-            key = (row["variant"], row["setting"], row["question_id"])
-            if key in first_at:
-                raise ValueError(f"{path}:{line_no}: duplicate prediction {key!r} "
-                                 f"(first at {first_at[key]})")
-            first_at[key] = f"{path}:{line_no}"
-            rows.append(row)
-    return rows
+    return [row for _, _, row in _read_rows(
+        paths, ("question_id", "variant", "setting", "answer", "completion"), "prediction",
+        itemgetter("variant", "setting", "question_id"))]
 
 
 def _write_table(out_dir: Path, stem: str, header: list[str], rows: list[list],
@@ -393,6 +407,26 @@ def _aggregate(groups: dict[str, list]) -> tuple[dict, list[list]]:
     return aggregates, rows
 
 
+def _score_tables(stem: str, rows: list[dict], score_of, ids: tuple, columns: tuple,
+                  aggregate_header: list[str]):
+    """Score each prediction row, group the scores by variant/setting and
+    aggregate each group. Returns the scores in row order, the aggregates and
+    the <stem>_scores (the `ids` fields and score `columns` of each row) and
+    <stem>_aggregate tables."""
+    scores, groups, score_rows = [], {}, []
+    for row in rows:
+        score = score_of(row)
+        scores.append(score)
+        groups.setdefault(f"{row['variant']}/{row['setting']}", []).append(score)
+        score_rows.append([*(row[name] for name in ids),
+                           *(_fmt(getattr(score, column)) for column in columns)])
+    aggregates, aggregate_rows = _aggregate(groups)
+    return scores, aggregates, [
+        (f"{stem}_scores", [*ids, *columns], score_rows, False),
+        (f"{stem}_aggregate", ["method", *aggregate_header], aggregate_rows, True),
+    ]
+
+
 def run_evaluate(
     predictions: list[dict],
     records: list[corpus.QuestionRecord],
@@ -416,63 +450,31 @@ def run_evaluate(
     for row in skipped:
         logger.warning("prediction for unknown question id %r excluded", row["question_id"])
 
-    # Answer scores, grouped by (variant, setting).
-    per_question_rows = []
-    groups: dict[str, list[metrics.AnswerScore]] = {}
-    scored_rows: list[tuple[dict, metrics.AnswerScore]] = []
-    for row in known:
-        score = metrics.answer_score(row["answer"], gold[row["question_id"]])
-        scored_rows.append((row, score))
-        group = f"{row['variant']}/{row['setting']}"
-        groups.setdefault(group, []).append(score)
-        per_question_rows.append(
-            [row["question_id"], row["variant"], row["setting"],
-             _fmt(score.em), _fmt(score.f1), _fmt(score.precision), _fmt(score.recall)]
-        )
-    tables = [
-        ("answer_scores", ["question_id", "variant", "setting", *ANSWER_COLUMNS],
-         per_question_rows, False),
-    ]
-
-    aggregates, aggregate_rows = _aggregate(groups)
-    tables.append(
-        ("answer_aggregate", ["method", "EM", "F1", "Precision", "Recall"], aggregate_rows, True)
-    )
-
+    scores, aggregates, tables = _score_tables(
+        "answer", known, lambda row: metrics.answer_score(row["answer"], gold[row["question_id"]]),
+        ("question_id", "variant", "setting"), ANSWER_COLUMNS,
+        ["EM", "F1", "Precision", "Recall"])
     report: dict = {"answer": {"aggregates": aggregates}}
 
     # Chain ROUGE against reference chains (CoT completions are the chains).
     if reference_chains is not None:
-        chain_rows = []
-        chain_groups: dict[str, list[metrics.RougeScore]] = {}
-        for row in known:
-            if row["setting"] != Setting.COT.value:
-                continue
-            reference = reference_chains.get(row["question_id"])
-            if reference is None:
-                continue
-            rouge = metrics.rouge_scores(row["completion"].strip(), reference)
-            chain_groups.setdefault(f"{row['variant']}/{row['setting']}", []).append(rouge)
-            chain_rows.append(
-                [row["question_id"], row["variant"],
-                 _fmt(rouge.rouge1), _fmt(rouge.rouge2), _fmt(rouge.rougeL)]
-            )
-        tables.append(
-            ("chain_scores", ["question_id", "variant", *ROUGE_COLUMNS], chain_rows, False)
-        )
-        chain_aggregates, chain_agg_rows = _aggregate(chain_groups)
+        cot_rows = [row for row in known if row["setting"] == Setting.COT.value
+                    and row["question_id"] in reference_chains]
+        _, chain_aggregates, chain_tables = _score_tables(
+            "chain", cot_rows,
+            lambda row: metrics.rouge_scores(row["completion"].strip(),
+                                             reference_chains[row["question_id"]]),
+            ("question_id", "variant"), ROUGE_COLUMNS, ["ROUGE-1", "ROUGE-2", "ROUGE-L"])
         for agg in chain_aggregates.values():
             agg["bertscore"] = None  # reserved for an embedding-based metric
-        tables.append(
-            ("chain_aggregate", ["method", "ROUGE-1", "ROUGE-2", "ROUGE-L"], chain_agg_rows, True)
-        )
+        tables += chain_tables
         report["chain"] = {"aggregates": chain_aggregates}
 
     # Correlations of each answer metric with human 0/1 labels.
     if human_labels is not None:
         labelled = [
             (row, score, human_labels[row["question_id"]])
-            for row, score in scored_rows
+            for row, score in zip(known, scores)
             if row["question_id"] in human_labels
         ]
         correlation_report = {}
@@ -512,8 +514,7 @@ def run_ground(graphs_path, records: list[corpus.QuestionRecord], output_path,
 
     def reports():
         nonlocal count
-        for line_no, row in read_jsonl(graphs_path):
-            _require_fields(graphs_path, line_no, row, GRAPH_FIELDS)
+        for _, _, row in _read_graph_rows(graphs_path):
             record = by_id.get(row["question_id"])
             if record is None:
                 logger.warning("graph for unknown question id %r skipped", row["question_id"])
@@ -542,32 +543,20 @@ def run_ground(graphs_path, records: list[corpus.QuestionRecord], output_path,
 
 def read_labels(path) -> dict[str, int]:
     """JSONL of {question_id, label} with 0/1 human correctness labels. A row
-    without either field, with another label, or repeating a question id is
-    rejected naming its line."""
-    labels, first_line = {}, {}
-    for line_no, row in read_jsonl(path):
-        _require_fields(path, line_no, row, ("question_id", "label"))
-        question_id, label = row["question_id"], row["label"]
-        if label not in (0, 1):
-            raise ValueError(f"{path}:{line_no}: label must be 0 or 1, got {label!r}")
-        if question_id in first_line:
-            raise ValueError(f"{path}:{line_no}: duplicate question_id {question_id!r} "
-                             f"(first at {path}:{first_line[question_id]})")
-        first_line[question_id] = line_no
-        labels[question_id] = int(label)
+    without a string question id, with a label other than the integer 0 or 1,
+    or repeating a question id is rejected naming its line."""
+    labels = {}
+    for _, line_no, row in _read_rows([path], ("question_id", "label"), "question_id",
+                                      itemgetter("question_id")):
+        if row["label"] not in (0, 1):
+            raise ValueError(f"{path}:{line_no}: label must be 0 or 1, got {row['label']!r}")
+        labels[row["question_id"]] = row["label"]
     return labels
 
 
 def read_reference_chains(path) -> dict[str, str]:
-    """JSONL of {question_id, chain} reference reasoning chains. A row without
-    either field, or repeating a question id, is rejected naming its line."""
-    chains, first_line = {}, {}
-    for line_no, row in read_jsonl(path):
-        _require_fields(path, line_no, row, ("question_id", "chain"))
-        question_id = row["question_id"]
-        if question_id in first_line:
-            raise ValueError(f"{path}:{line_no}: duplicate question_id {question_id!r} "
-                             f"(first at {path}:{first_line[question_id]})")
-        first_line[question_id] = line_no
-        chains[question_id] = str(row["chain"])
-    return chains
+    """JSONL of {question_id, chain} reference reasoning chains. A row that
+    lacks either string field, or repeats a question id, is rejected naming
+    its line."""
+    return {row["question_id"]: row["chain"] for _, _, row in _read_rows(
+        [path], ("question_id", "chain"), "question_id", itemgetter("question_id"))}

@@ -1,12 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sgqa.chain import (
-    EmptyCompletionError,
-    ReasoningChain,
-    parse_chain,
-    validate_chain,
-)
+from sgqa.chain import EmptyCompletionError, parse_chain
 
 
 def test_parse_chain_full_example():
@@ -30,9 +25,6 @@ def test_parse_chain_no_pattern_falls_back_to_sentence():
     chain = parse_chain("The graph does not provide information about the question.")
     assert chain.extracted_answer == "The graph does not provide information about the question"
     assert chain.used_fallback is True
-    report = validate_chain(chain)
-    assert not report.well_formed
-    assert any(rule == "answer-pattern" for rule, _ in report.violations)
 
 
 def test_parse_chain_fallback_after_final_colon():
@@ -82,40 +74,3 @@ def test_parse_chain_total_on_nonempty(text):
     chain = parse_chain(text)
     assert isinstance(chain.extracted_answer, str)
     assert chain.answer_sentence
-
-
-def test_validate_chain_well_formed():
-    chain = parse_chain(
-        "Hans Hedemann was the father of Knut Hedemann. "
-        "Hans Hedemann was born in Stange. So the answer is: Stange."
-    )
-    report = validate_chain(chain)
-    assert report.well_formed and report.violations == ()
-
-
-def test_validate_chain_flags_repeat():
-    chain = ReasoningChain(
-        sentences=("A equals B.", "A equals B."),
-        answer_sentence="So the answer is: B.",
-        extracted_answer="B",
-    )
-    report = validate_chain(chain)
-    assert ("repeat", "A equals B.") in report.violations
-
-
-def test_validate_chain_flags_length():
-    long_sentence = " ".join(["word"] * 40) + "."
-    chain = ReasoningChain(
-        sentences=(long_sentence,),
-        answer_sentence="So the answer is: X.",
-        extracted_answer="X",
-    )
-    report = validate_chain(chain)
-    assert any(rule == "length" for rule, _ in report.violations)
-    # cap is configurable
-    assert validate_chain(chain, max_words=50).well_formed
-
-
-def test_validate_chain_idempotent():
-    chain = parse_chain("A. B. So the answer is: C.")
-    assert validate_chain(chain) == validate_chain(chain)

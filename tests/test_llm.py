@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import socket
 import socketserver
@@ -77,7 +78,7 @@ def test_replay_backend_serves_fixture(tmp_path):
     completion = generate(request, backend)
     assert completion.text == "fixture text"
     assert completion.cached is False
-    assert completion.latency == 0.0
+    assert completion.latency >= 0.0
 
 
 def test_replay_backend_missing_key():
@@ -189,18 +190,43 @@ def test_cache_drops_torn_last_line(tmp_path, caplog):
     first, torn = make_request(prompt="first"), make_request(prompt="torn")
     with CompletionCache(tmp_path / "cache") as cache:
         cache.put(request_key(first), "one", "replay")
-    whole = cache.path.read_bytes()
     with open(cache.path, "ab") as fh:  # a put killed mid-write
         fh.write(b'{"key": "' + request_key(torn).encode() + b'", "text": "tw')
+    whole = cache.path.read_bytes()
 
     with caplog.at_level("WARNING"), CompletionCache(tmp_path / "cache") as cache:
-        assert f"{cache.path}:2: torn last line dropped" in caplog.text
-        assert cache.path.read_bytes() == whole
+        assert f"{cache.path}:2: corrupt line skipped" in caplog.text
+        assert cache.path.read_bytes() == whole  # skipped, not cut off
         assert cache.get(request_key(first))["text"] == "one"
         assert cache.get(request_key(torn)) is None
         cache.put(request_key(torn), "two", "replay")
+    # the put lands on a line of its own after the torn one
+    assert cache.path.read_bytes().startswith(whole + b'\n{"key": ')
+    assert len(log_lines(cache)) == 3
     with CompletionCache(tmp_path / "cache") as cache:
         assert [cache.get(request_key(r))["text"] for r in (first, torn)] == ["one", "two"]
+
+
+def test_cache_opened_during_another_append_keeps_that_line(tmp_path, caplog):
+    """A cache opened while another process's append is in flight sees a
+    torn last line. Once that append completes, its line and the cache's own
+    puts are all whole."""
+    cache_dir = tmp_path / "cache"
+    CompletionCache(cache_dir).close()
+    line = json.dumps({"key": "kA", "text": "A", "backend_id": "replay"}).encode() + b"\n"
+    fd = os.open(cache_dir / "completions.jsonl", os.O_WRONLY | os.O_APPEND)
+    try:
+        os.write(fd, line[:30])  # the other process's append, part way
+        with CompletionCache(cache_dir) as cache:
+            os.write(fd, line[30:])  # ... and the rest of it
+            cache.put("kB", "B", "replay")
+    finally:
+        os.close(fd)
+    caplog.clear()
+    with caplog.at_level("WARNING"), CompletionCache(cache_dir) as cache:
+        assert caplog.text == ""  # the blank line before B's is no corrupt line
+        assert cache.get("kA") == {"text": "A", "backend_id": "replay"}
+        assert cache.get("kB") == {"text": "B", "backend_id": "replay"}
 
 
 def test_cache_skips_corrupt_middle_line(tmp_path, caplog):

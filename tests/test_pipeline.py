@@ -126,8 +126,24 @@ def test_load_graphs_rejects_duplicate_paragraph(tmp_path):
     lines = graphs_path.read_text(encoding="utf-8").splitlines()
     graphs_path.write_text("\n".join([*lines, lines[3]]) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"graphs.jsonl:{len(lines) + 1}: duplicate "
-                                         r"\(question_id, paragraph_index\)"):
+                                         r"\(question_id, paragraph_index\) .* "
+                                         rf"\(first at {re.escape(str(graphs_path))}:4\)$"):
         pipeline.load_graphs(graphs_path)
+
+
+def test_run_ground_rejects_duplicate_paragraph(tmp_path, records):
+    graphs_path = pipeline.run_extract(make_config(tmp_path))
+    lines = graphs_path.read_text(encoding="utf-8").splitlines()
+    graphs_path.write_text("\n".join([*lines, lines[3]]) + "\n", encoding="utf-8")
+    out = tmp_path / "grounding.jsonl"
+    with pytest.raises(ValueError) as excinfo:
+        pipeline.run_ground(graphs_path, records, out)
+    row = json.loads(lines[3])
+    assert str(excinfo.value) == (
+        f"{graphs_path}:{len(lines) + 1}: duplicate (question_id, paragraph_index) "
+        f"({row['question_id']!r}, {row['paragraph_index']}) (first at {graphs_path}:4)"
+    )
+    assert not out.exists()
 
 
 def test_run_answer_missing_graphs_file(tmp_path):
@@ -602,6 +618,19 @@ def test_cli_evaluate_names_prediction_without_field(tmp_path, capsys):
     assert f"{predictions}:1: missing field 'variant'" in capsys.readouterr().err
 
 
+def test_cli_evaluate_names_prediction_with_null_answer(tmp_path, capsys):
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(json.dumps({**PREDICTION, "answer": None}) + "\n", encoding="utf-8")
+    code = run_cli([
+        "evaluate", "--dataset", E2E / "dataset.json", "--predictions", predictions,
+        "--output-dir", tmp_path / "eval",
+    ])
+    assert code == 2
+    assert (f"error: {predictions}:1: field 'answer' must be a string, got null"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
 def test_read_predictions_rejects_duplicate_across_files(tmp_path):
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     other = {**PREDICTION, "setting": "fewshot"}
@@ -621,7 +650,11 @@ def test_read_predictions_rejects_duplicate_across_files(tmp_path):
     (['{"question_id": "q1", "label": 2}'], ":1: label must be 0 or 1, got 2"),
     (['{"question_id": "q1", "label": 1}', '{"question_id": "q1", "label": 0}'],
      ":2: duplicate question_id 'q1' (first at {path}:1)"),
-], ids=["no question_id", "no label", "label 2", "repeated question_id"])
+    (['{"question_id": "q1", "label": true}'], ":1: field 'label' must be an integer, got true"),
+    (['{"question_id": "q1", "label": 1.0}'], ":1: field 'label' must be an integer, got 1.0"),
+    (['{"question_id": 1, "label": 1}'], ":1: field 'question_id' must be a string, got 1"),
+], ids=["no question_id", "no label", "label 2", "repeated question_id", "label true",
+        "label 1.0", "numeric question_id"])
 def test_read_labels_rejects_bad_rows(tmp_path, lines, error):
     path = tmp_path / "labels.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -636,7 +669,10 @@ def test_read_labels_rejects_bad_rows(tmp_path, lines, error):
      ":2: missing field 'chain'"),
     (['{"question_id": "q1", "chain": "c"}', '{"question_id": "q1", "chain": "d"}'],
      ":2: duplicate question_id 'q1' (first at {path}:1)"),
-], ids=["no question_id", "no chain", "repeated question_id"])
+    (['{"question_id": "q1", "chain": null}'], ":1: field 'chain' must be a string, got null"),
+    (['{"question_id": "q1", "chain": ["c"]}'],
+     ":1: field 'chain' must be a string, got [\"c\"]"),
+], ids=["no question_id", "no chain", "repeated question_id", "null chain", "list chain"])
 def test_read_reference_chains_rejects_bad_rows(tmp_path, lines, error):
     path = tmp_path / "references.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
