@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
+from .jsonl import row_fault
+
 # Lines opening one of these sections end an extraction completion; models
 # sometimes keep generating the next prompt block.
 SECTION_MARKERS = (
@@ -358,13 +360,36 @@ def graph_to_dict(graph: SemanticGraph) -> dict:
     }
 
 
+_GRAPH_FIELDS = {"variant": str, "entities": list, "source_title": str}
+_STR_ONLY = frozenset({str})
+_LIST_ONLY = frozenset({list})
+
+
+def _is_table(rows, width: int) -> bool:
+    """Whether `rows` is a list of lists of `width` strings, checked in C."""
+    return (type(rows) is list and _LIST_ONLY.issuperset(map(type, rows))
+            and {width}.issuperset(map(len, rows))
+            and _STR_ONLY.issuperset(map(type, itertools.chain.from_iterable(rows))))
+
+
 def graph_from_dict(data: dict) -> SemanticGraph:
+    """The graph of a `graph_to_dict` object, whose pairs and triples may be
+    absent. A malformed object raises ValueError saying what is wrong."""
+    fault = row_fault(data, _GRAPH_FIELDS)
+    if fault is None:
+        pairs, triples = data.get("pairs", []), data.get("triples", [])
+        if not _STR_ONLY.issuperset(map(type, data["entities"])):
+            fault = "field 'entities' must be an array of strings"
+        elif not _is_table(pairs, 2):
+            fault = "field 'pairs' must be an array of arrays of 2 strings"
+        elif not _is_table(triples, 3):
+            fault = "field 'triples' must be an array of arrays of 3 strings"
+    if fault is not None:
+        raise ValueError(fault)
     return SemanticGraph(
         variant=GraphVariant(data["variant"]),
         entities=tuple(Entity(t) for t in data["entities"]),
-        pairs=tuple(EntityPair(Entity(l), Entity(r)) for l, r in data.get("pairs", [])),
-        triples=tuple(
-            Triple(Entity(s), rel, Entity(o)) for s, rel, o in data.get("triples", [])
-        ),
+        pairs=tuple(EntityPair(Entity(l), Entity(r)) for l, r in pairs),
+        triples=tuple(Triple(Entity(s), rel, Entity(o)) for s, rel, o in triples),
         source_title=data["source_title"],
     )

@@ -1,4 +1,7 @@
-"""The JSONL file format and the two write policies.
+"""The JSONL file format: the one checked reader and the two write policies.
+
+Every JSONL input is read by `read_rows`, which names the file and line of a
+malformed row; the completion cache skips a row with a `row_fault` instead.
 
 Every output file sgqa writes goes to a temp file beside its target and is
 renamed over it, so the target holds its old bytes or all of the new ones,
@@ -20,6 +23,8 @@ import threading
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
+
+_TYPE_NAMES = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
 
 
 def write_atomic(path, chunks) -> None:
@@ -54,6 +59,37 @@ def read_jsonl(path):
                     yield line_no, json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}:{line_no}: malformed JSON: {exc}") from exc
+
+
+def row_fault(row, fields) -> str | None:
+    """What is wrong with the first of `fields` (name -> str, int, list or
+    dict) that the parsed `row` lacks or holds with another JSON type; None
+    if there is no such field. `true` and `1.0` are not integers."""
+    for name, kind in fields.items():
+        if type(row) is not dict or name not in row:
+            return f"missing field {name!r}"
+        if type(row[name]) is not kind:
+            return f"field {name!r} must be {_TYPE_NAMES[kind]}, got {json.dumps(row[name])}"
+    return None
+
+
+def read_rows(paths, fields, what=None, key=None):
+    """Yield (path, line number, row) for each row of the JSONL files. A row
+    with a `row_fault`, or whose `key(row)` an earlier row of any of the files
+    has, is rejected naming its file and line; `what` names the key in that
+    message. With no `key`, repeated keys are not checked."""
+    first_at = {}
+    for path in paths:
+        for line_no, row in read_jsonl(path):
+            error = row_fault(row, fields)
+            if error is not None:
+                raise ValueError(f"{path}:{line_no}: {error}")
+            if key is not None:
+                where = f"{path}:{line_no}"
+                first = first_at.setdefault(key(row), where)
+                if first is not where:  # an earlier row has this key
+                    raise ValueError(f"{where}: duplicate {what} {key(row)!r} (first at {first})")
+            yield path, line_no, row
 
 
 def read_log(path):

@@ -23,7 +23,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
-from .jsonl import append_line, open_log, read_jsonl, read_log, write_jsonl
+from .jsonl import append_line, open_log, read_log, read_rows, row_fault, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +37,8 @@ RETRY_BASE_DELAY = 1.0
 RETRY_AFTER_MAX = 60.0  # seconds; a server that asks for longer fails the call
 
 API_KEY_ENV = "SGQA_API_KEY"
+
+CACHE_ENTRY_FIELDS = {"key": str, "text": str, "backend_id": str}
 
 
 class BackendError(RuntimeError):
@@ -138,7 +140,9 @@ class ReplayBackend:
 
     @classmethod
     def from_file(cls, path) -> "ReplayBackend":
-        return cls({entry["key"]: entry["text"] for _, entry in read_jsonl(path)})
+        """Of two fixture rows with one key, the later wins."""
+        return cls({row["key"]: row["text"]
+                    for _, _, row in read_rows([path], {"key": str, "text": str})})
 
     def complete(self, request: GenerationRequest) -> str:
         self.calls += 1
@@ -287,10 +291,10 @@ class CompletionCache:
     Crash contract:
     - Every complete line is a valid entry: `put` appends its line in one
       write, under a lock, and indexes it.
-    - The log is never cut. A corrupt line, such as a torn last line (a put
-      killed mid-write), is skipped with a warning; its request is generated
-      again on the next miss. If the log ends mid-line at open, the first
-      put starts a new line. Of two lines with one key, the later wins.
+    - The log is never cut. A corrupt or mistyped line, such as a torn last
+      line (a put killed mid-write), is skipped with a warning; its request
+      is generated again on the next miss. If the log ends mid-line at open,
+      the first put starts a new line. Of two lines with one key, the later wins.
     - The one-file-per-completion `objects/` directory of earlier versions
       is not read.
 
@@ -304,9 +308,9 @@ class CompletionCache:
         self.path = Path(cache_dir) / "completions.jsonl"
         self._index: dict[str, tuple[str, str]] = {}  # key -> (text, backend_id)
         for line_no, row in read_log(self.path):
-            try:
+            if row_fault(row, CACHE_ENTRY_FIELDS) is None:
                 self._index[row["key"]] = (row["text"], row["backend_id"])
-            except (KeyError, TypeError):
+            else:
                 logger.warning("%s:%d: not a cache entry; skipped", self.path, line_no)
         self._log = open_log(self.path)
         self._lock = threading.Lock()

@@ -26,7 +26,7 @@ from urllib.parse import urlsplit
 
 from . import chain as chain_mod
 from . import corpus, graph as graph_mod, grounding, metrics, prompts
-from .jsonl import read_jsonl, write_atomic, write_jsonl
+from .jsonl import read_rows, write_atomic, write_jsonl
 from .llm import (
     CompletionCache,
     HTTPBackend,
@@ -41,13 +41,13 @@ logger = logging.getLogger(__name__)
 
 ANSWER_COLUMNS = ("em", "f1", "precision", "recall")
 ROUGE_COLUMNS = ("rouge1", "rouge2", "rougeL")
-GRAPH_FIELDS = ("question_id", "paragraph_index", "graph")  # of a graphs.jsonl row
-# The JSON type each field of an input row must have, by field name.
-_FIELD_TYPES = {
-    **dict.fromkeys(("question_id", "variant", "setting", "answer", "completion", "chain"), str),
-    "label": int, "paragraph_index": int, "graph": dict,
+GRAPH_FIELDS = {"question_id": str, "paragraph_index": int, "graph": dict}  # of a graphs row
+# The demonstration kinds each extraction variant prompts with.
+EXTRACTION_DEMO_KINDS = {
+    PromptVariant.G_FULL: ("entity",),
+    PromptVariant.SG_MULTI: ("entity", "relation"),
+    PromptVariant.SG_ONE: ("joint",),
 }
-_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
 
 
 class UsageError(ValueError):
@@ -244,10 +244,7 @@ def run_extract(config: RunConfig) -> Path:
         raise UsageError("the base variant has no extraction stage")
     records = load_records(config)
     backend = make_backend(config)
-    demos = {
-        kind: _demo_set(config, kind)
-        for kind in ("entity", "relation", "joint")
-    }
+    demos = {kind: _demo_set(config, kind) for kind in EXTRACTION_DEMO_KINDS[config.variant]}
 
     def worker(record: corpus.QuestionRecord):
         rows = []
@@ -272,40 +269,26 @@ def run_extract(config: RunConfig) -> Path:
         return _run_stage(config, records, "graphs.jsonl", "extracted", worker)
 
 
-def _read_rows(paths, fields, what: str, key):
-    """Yield (path, line number, row) for each row of the JSONL files. A row
-    that lacks one of `fields` or holds it with another JSON type, or whose
-    `key(row)` an earlier row of any of the files has, is rejected naming
-    its file and line; `what` names the key in that message."""
-    first_at = {}
-    for path in paths:
-        for line_no, row in read_jsonl(path):
-            for name in fields:
-                if not isinstance(row, dict) or name not in row:
-                    raise ValueError(f"{path}:{line_no}: missing field {name!r}")
-                kind = _FIELD_TYPES[name]
-                if type(row[name]) is not kind:
-                    raise ValueError(f"{path}:{line_no}: field {name!r} must be "
-                                     f"{_TYPE_NAMES[kind]}, got {json.dumps(row[name])}")
-            row_key = key(row)
-            if row_key in first_at:
-                first_path, first_line = first_at[row_key]
-                raise ValueError(f"{path}:{line_no}: duplicate {what} {row_key!r} "
-                                 f"(first at {first_path}:{first_line})")
-            first_at[row_key] = (path, line_no)
-            yield path, line_no, row
-
-
-def _read_graph_rows(path):
-    return _read_rows([path], GRAPH_FIELDS, "(question_id, paragraph_index)",
-                      itemgetter("question_id", "paragraph_index"))
+def _read_graphs(path):
+    """Yield (question id, paragraph index, graph) for each row of a graphs
+    file. Besides what `read_rows` rejects, a negative paragraph index or a
+    malformed graph object is rejected naming its file and line."""
+    for _, line_no, row in read_rows([path], GRAPH_FIELDS, "(question_id, paragraph_index)",
+                                     itemgetter("question_id", "paragraph_index")):
+        index = row["paragraph_index"]
+        if index < 0:
+            raise ValueError(f"{path}:{line_no}: negative paragraph_index {index}")
+        try:
+            graph = graph_mod.graph_from_dict(row["graph"])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: graph: {exc}") from exc
+        yield row["question_id"], index, graph
 
 
 def load_graphs(path) -> dict[str, dict[int, graph_mod.SemanticGraph]]:
     graphs: dict[str, dict[int, graph_mod.SemanticGraph]] = {}
-    for _, _, row in _read_graph_rows(path):
-        graphs.setdefault(row["question_id"], {})[row["paragraph_index"]] = (
-            graph_mod.graph_from_dict(row["graph"]))
+    for question_id, index, graph in _read_graphs(path):
+        graphs.setdefault(question_id, {})[index] = graph
     return graphs
 
 
@@ -376,9 +359,9 @@ def read_predictions(paths) -> list[dict]:
     """Prediction rows of all the JSONL files. A row that lacks a string field
     run_evaluate reads, or with a (variant, setting, question_id) that an
     earlier row of any of the files has, is rejected naming its file and line."""
-    return [row for _, _, row in _read_rows(
-        paths, ("question_id", "variant", "setting", "answer", "completion"), "prediction",
-        itemgetter("variant", "setting", "question_id"))]
+    fields = dict.fromkeys(("question_id", "variant", "setting", "answer", "completion"), str)
+    return [row for _, _, row in read_rows(paths, fields, "prediction",
+                                           itemgetter("variant", "setting", "question_id"))]
 
 
 def _write_table(out_dir: Path, stem: str, header: list[str], rows: list[list],
@@ -514,18 +497,16 @@ def run_ground(graphs_path, records: list[corpus.QuestionRecord], output_path,
 
     def reports():
         nonlocal count
-        for _, _, row in _read_graph_rows(graphs_path):
-            record = by_id.get(row["question_id"])
+        for question_id, index, g in _read_graphs(graphs_path):
+            record = by_id.get(question_id)
             if record is None:
-                logger.warning("graph for unknown question id %r skipped", row["question_id"])
+                logger.warning("graph for unknown question id %r skipped", question_id)
                 continue
             paragraphs = corpus.gold_paragraphs(record)
-            index = row["paragraph_index"]
             if index >= len(paragraphs):
                 logger.warning("graph index %d out of range for %s", index, record.id)
                 continue
             paragraph = paragraphs[index]
-            g = graph_mod.graph_from_dict(row["graph"])
             report = grounding.grounding_report(g, paragraph)
             yield {
                 "question_id": record.id,
@@ -546,8 +527,8 @@ def read_labels(path) -> dict[str, int]:
     without a string question id, with a label other than the integer 0 or 1,
     or repeating a question id is rejected naming its line."""
     labels = {}
-    for _, line_no, row in _read_rows([path], ("question_id", "label"), "question_id",
-                                      itemgetter("question_id")):
+    for _, line_no, row in read_rows([path], {"question_id": str, "label": int}, "question_id",
+                                     itemgetter("question_id")):
         if row["label"] not in (0, 1):
             raise ValueError(f"{path}:{line_no}: label must be 0 or 1, got {row['label']!r}")
         labels[row["question_id"]] = row["label"]
@@ -558,5 +539,5 @@ def read_reference_chains(path) -> dict[str, str]:
     """JSONL of {question_id, chain} reference reasoning chains. A row that
     lacks either string field, or repeats a question id, is rejected naming
     its line."""
-    return {row["question_id"]: row["chain"] for _, _, row in _read_rows(
-        [path], ("question_id", "chain"), "question_id", itemgetter("question_id"))}
+    return {row["question_id"]: row["chain"] for _, _, row in read_rows(
+        [path], {"question_id": str, "chain": str}, "question_id", itemgetter("question_id"))}

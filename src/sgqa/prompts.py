@@ -20,7 +20,7 @@ from importlib import resources
 
 from .corpus import Paragraph
 from .graph import GraphVariant, SemanticGraph, serialize_graph
-from .jsonl import read_jsonl
+from .jsonl import read_rows
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +37,7 @@ BLOCK_SEPARATOR = "\n\n"
 MAX_PROMPT_CHARS = 200_000
 
 DEMO_KINDS = ("entity", "relation", "joint", "qa_cot", "qa_fewshot")
+DEMO_FIELDS = ("kind", "input_text", "output_text", "id")  # a row's, in Demonstration order
 
 DEFAULT_EXTRACTION_DEMOS = 4
 DEFAULT_QA_DEMOS = 2
@@ -221,20 +222,14 @@ def qa_prompt(
 
 
 def load_demonstrations(path) -> list[Demonstration]:
-    """Load demonstrations from a JSONL file of {kind, input_text, output_text, id}."""
+    """Load demonstrations from a JSONL file of {kind, input_text, output_text,
+    id} strings. A bad row or an unknown kind is rejected naming its line."""
     demos = []
-    for line_no, raw in read_jsonl(path):
-        try:
-            demos.append(
-                Demonstration(
-                    kind=raw["kind"],
-                    input_text=raw["input_text"],
-                    output_text=raw["output_text"],
-                    id=raw["id"],
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigurationError(f"{path}:{line_no}: bad demonstration: {exc}") from exc
+    for _, line_no, row in read_rows([path], dict.fromkeys(DEMO_FIELDS, str)):
+        if row["kind"] not in DEMO_KINDS:
+            raise ConfigurationError(
+                f"{path}:{line_no}: unknown demonstration kind {row['kind']!r}")
+        demos.append(Demonstration(*map(row.get, DEMO_FIELDS)))
     return demos
 
 

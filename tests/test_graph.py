@@ -272,3 +272,31 @@ def test_graph_dict_round_trip():
 def test_graph_dict_round_trip_gfull():
     graph = build_full_graph([Entity("A"), Entity("B"), Entity("C")], source_title="T")
     assert graph_from_dict(graph_to_dict(graph)) == graph
+
+
+GRAPH = {"source_title": "T", "variant": "sg-one", "entities": ["a", "b"],
+         "pairs": [], "triples": [["a", "r", "b"]]}
+
+
+@pytest.mark.parametrize("data,error", [
+    ({}, "missing field 'variant'"),
+    ({**GRAPH, "entities": "abc"}, 'field \'entities\' must be an array, got "abc"'),
+    ({**GRAPH, "entities": [5]}, "field 'entities' must be an array of strings"),
+    ({**GRAPH, "triples": [["a", "r"]]},
+     "field 'triples' must be an array of arrays of 3 strings"),
+    ({**GRAPH, "triples": ["a, r, b"]},
+     "field 'triples' must be an array of arrays of 3 strings"),
+    ({**GRAPH, "variant": "g-full", "triples": [], "pairs": [["a", 1]]},
+     "field 'pairs' must be an array of arrays of 2 strings"),
+    ({**GRAPH, "variant": "tree"}, "'tree' is not a valid GraphVariant"),
+], ids=["empty", "string entities", "numeric entity", "2-field triple", "string triple",
+        "numeric pair end", "unknown variant"])
+def test_graph_from_dict_rejects_malformed_object(data, error):
+    with pytest.raises(ValueError) as excinfo:
+        graph_from_dict(data)
+    assert str(excinfo.value) == error
+
+
+def test_graph_from_dict_reads_absent_pairs_and_triples_as_empty():
+    data = {"source_title": "T", "variant": "entities", "entities": ["a", "b"]}
+    assert graph_from_dict(data) == entities_graph("T", [Entity("a"), Entity("b")])

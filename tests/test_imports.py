@@ -1,5 +1,6 @@
 """sgqa has no runtime dependencies: every module imports only the standard
-library and sgqa itself."""
+library and sgqa itself. Every JSONL input goes through the checked reader
+in `jsonl`."""
 
 import ast
 import sys
@@ -30,3 +31,19 @@ def test_module_imports_only_stdlib_and_sgqa(path):
     outside = [f"{path.name}:{line}: {name}"
                for line, name in imported_packages(path) if name not in allowed]
     assert outside == []
+
+
+def called_names(path):
+    """(line, name) of every call in the file to a bare or dotted name."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            yield node.lineno, name
+
+
+def test_only_the_jsonl_module_calls_read_jsonl():
+    """Other modules read JSONL through `jsonl.read_rows`, which checks each row."""
+    callers = [f"{path.name}:{line}" for path in MODULES if path.name != "jsonl.py"
+               for line, name in called_names(path) if name == "read_jsonl"]
+    assert callers == []

@@ -81,6 +81,13 @@ def test_replay_backend_serves_fixture(tmp_path):
     assert completion.latency >= 0.0
 
 
+def test_replay_fixture_repeated_key_later_wins(tmp_path):
+    path = tmp_path / "replay.jsonl"
+    path.write_text('{"key": "k", "text": "old"}\n{"key": "k", "text": "new"}\n',
+                    encoding="utf-8")
+    assert ReplayBackend.from_file(path)._fixtures == {"k": "new"}
+
+
 def test_replay_backend_missing_key():
     backend = ReplayBackend({})
     with pytest.raises(MissingFixtureError, match="no replay fixture"):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sgqa
-from sgqa import cli, corpus, pipeline
+from sgqa import cli, corpus, pipeline, prompts
 from sgqa.llm import CompletionCache, ReplayBackend, request_key
 from sgqa.pipeline import RunConfig, RunManifest, UsageError
 from sgqa.prompts import PromptVariant, Setting
@@ -84,6 +84,39 @@ def test_rerun_extract_uses_cache_only(tmp_path):
         pipeline.make_backend = original
     assert counting.calls == calls_before == 0
     assert first == second
+
+
+def test_rerun_regenerates_mistyped_cache_entry_once(tmp_path, monkeypatch, caplog):
+    config = make_config(tmp_path)
+    expected = pipeline.run_extract(config).read_bytes()
+    log = Path(config.cache_dir) / "completions.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "text": None})
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    counting = ReplayBackend.from_file(config.replay_file)
+    monkeypatch.setattr(pipeline, "make_backend", lambda _config: counting)
+    config2 = make_config(tmp_path, output_dir=str(tmp_path / "run2"))
+    with caplog.at_level("WARNING"):
+        assert pipeline.run_extract(config2).read_bytes() == expected
+    assert f"{log}:1: not a cache entry; skipped" in caplog.text
+    assert counting.calls == 1
+    assert RunManifest(Path(config2.output_dir) / "manifest.json").failed() == []
+
+
+@pytest.mark.parametrize("variant,kinds", [
+    ("sg-multi", ["entity", "relation"]), ("g-full", ["entity"]), ("sg-one", ["joint"]),
+])
+def test_run_extract_reads_only_the_demos_its_variant_uses(tmp_path, variant, kinds):
+    demo_dir = tmp_path / "demos"
+    demo_dir.mkdir()
+    for kind in kinds:
+        (demo_dir / f"{kind}.jsonl").write_text(
+            prompts.default_demo_file(kind).read_text(encoding="utf-8"), encoding="utf-8")
+    packaged = make_config(tmp_path, variant=variant, output_dir=str(tmp_path / "packaged"))
+    expected = pipeline.run_extract(packaged).read_bytes()
+    config = make_config(tmp_path, variant=variant, demo_dir=str(demo_dir))
+    assert pipeline.run_extract(config).read_bytes() == expected
 
 
 # --------------------------------------------------------------- answer
@@ -748,6 +781,59 @@ def test_cli_ground_names_graph_row_without_graph(tmp_path, capsys):
     assert f"{graphs}:1: missing field 'graph'" in capsys.readouterr().err
     with pytest.raises(ValueError, match=":1: missing field 'graph'"):
         pipeline.load_graphs(graphs)
+
+
+@pytest.fixture(scope="module")
+def graph_row(tmp_path_factory):
+    """The first row of the e2e fixture's sg-multi graphs.jsonl."""
+    graphs_path = pipeline.run_extract(make_config(tmp_path_factory.mktemp("extract")))
+    return json.loads(graphs_path.read_text(encoding="utf-8").splitlines()[0])
+
+
+BAD_GRAPH_ROWS = {
+    "empty graph": (lambda row: {**row, "graph": {}}, "graph: missing field 'variant'"),
+    "string entities": (lambda row: {**row, "graph": {**row["graph"], "entities": "abc"}},
+                        "graph: field 'entities' must be an array, got \"abc\""),
+    "numeric entity": (lambda row: {**row, "graph": {**row["graph"], "entities": [5]}},
+                       "graph: field 'entities' must be an array of strings"),
+    "2-field triple": (
+        lambda row: {**row, "graph": {**row["graph"], "triples": [["Sorrento", "city"]]}},
+        "graph: field 'triples' must be an array of arrays of 3 strings"),
+    "negative index": (lambda row: {**row, "paragraph_index": -1},
+                       "negative paragraph_index -1"),
+}
+
+
+@pytest.mark.parametrize("command", ["ground", "answer"])
+@pytest.mark.parametrize("case", BAD_GRAPH_ROWS)
+def test_cli_names_malformed_graph_row(tmp_path, capsys, graph_row, command, case):
+    make_row, error = BAD_GRAPH_ROWS[case]
+    graphs = tmp_path / "graphs.jsonl"
+    graphs.write_text(json.dumps(make_row(graph_row)) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "ground":
+        args = ["ground", "--dataset", E2E / "dataset.json", "--graphs", graphs,
+                "--output-dir", out]
+    else:
+        args = ["answer", "--dataset", E2E / "dataset.json", "--variant", "sg-multi",
+                "--replay-file", E2E / "replay.jsonl", "--cache-dir", tmp_path / "cache",
+                "--model", MODEL, "--graphs", graphs, "--output-dir", out]
+    assert run_cli(args) == 2
+    assert f"error: {graphs}:1: {error}" in capsys.readouterr().err
+    assert not (out / "grounding.jsonl").exists() and not (out / "predictions.jsonl").exists()
+
+
+def test_cli_answer_names_replay_row_without_text(tmp_path, capsys):
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text('{"key": "k"}\n', encoding="utf-8")
+    code = run_cli([
+        "answer", "--dataset", E2E / "dataset.json", "--variant", "base",
+        "--backend", "replay", "--replay-file", replay,
+        "--cache-dir", tmp_path / "cache", "--output-dir", tmp_path / "run",
+    ])
+    assert code == 2
+    assert f"error: {replay}:1: missing field 'text'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_answer_names_damaged_manifest(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,22 @@ def test_select_demos_counts():
 def test_demonstration_rejects_unknown_kind():
     with pytest.raises(ValueError):
         Demonstration(kind="qa", input_text="x", output_text="y", id="d")
+
+
+DEMO_ROW = {"kind": "entity", "input_text": "x", "output_text": "y", "id": "d1"}
+
+
+@pytest.mark.parametrize("row,error", [
+    ({**DEMO_ROW, "output_text": None}, "field 'output_text' must be a string, got null"),
+    ({k: v for k, v in DEMO_ROW.items() if k != "input_text"}, "missing field 'input_text'"),
+    ({**DEMO_ROW, "kind": "qa"}, "unknown demonstration kind 'qa'"),
+], ids=["null output_text", "no input_text", "unknown kind"])
+def test_load_demonstrations_names_bad_row(tmp_path, row, error):
+    path = tmp_path / "entity.jsonl"
+    path.write_text(json.dumps(DEMO_ROW) + "\n" + json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_demonstrations(path)
+    assert str(excinfo.value) == f"{path}:2: {error}"
 
 
 def test_packaged_demo_counts():
