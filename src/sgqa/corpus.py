@@ -6,18 +6,21 @@ Both datasets ship as a JSON array of records with `_id`, `question`,
 field, which nothing downstream reads, so both formats load the same way
 and the field is ignored.
 
-`load_dataset` costs little more than parsing the JSON. It checks each
-context entry in one pass, with the sentence-type check at C speed, and it
-pauses the cyclic GC for the parse and the record build. JSON builds no
-reference cycles, so each collection the GC would make there frees nothing
-and only rescans the objects just built; at HotpotQA-dev size those
-collections were about a third of the load's CPU time. `Paragraph.text` is
-joined on each access, not stored: keeping every paragraph's text would
-raise the peak memory of a run.
+`load_dataset` costs little more than parsing the JSON, and holds the
+records plus about one chunk of the file, never its whole text: it decodes
+the top-level array one element at a time and builds each record before it
+decodes the next. It checks each context entry in one pass, with the
+sentence-type check at C speed, and it pauses the cyclic GC for the whole
+load. JSON builds no reference cycles, so each collection the GC would make
+there frees nothing and only rescans the objects just built; at
+HotpotQA-dev size those collections were about a third of the load's CPU
+time. `Paragraph.text` is joined on each access, not stored: keeping every
+paragraph's text would raise the peak memory of a run.
 """
 
 from __future__ import annotations
 
+import codecs
 import gc
 import json
 import logging
@@ -32,6 +35,8 @@ DEFAULT_DEV_SIZE = 100
 DEFAULT_TEST_SIZE = 500
 
 _STR_ONLY = frozenset({str})
+_JSON_SPACE = " \t\n\r"
+_CHUNK = 1 << 20  # bytes per read of a dataset file
 
 
 class DatasetParseError(ValueError):
@@ -140,18 +145,85 @@ def load_dataset(path, format: str = "hotpotqa") -> list[QuestionRecord]:
     byte offset) and DatasetSchemaError naming the record index and field on
     schema problems, including an `_id` repeated from an earlier record.
 
-    The cyclic GC is paused while the file is parsed and the records are
-    built, and turned back on only if it was on at entry.
+    The file is streamed: each record is built as soon as it is decoded. On
+    the first fault of any kind the file is parsed again in one piece, which
+    raises the error, so which fault is reported never depends on the stream.
+    The cyclic GC is paused for the whole load, and turned back on only if it
+    was on at entry.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
     enabled = gc.isenabled()
     gc.disable()
     try:
+        try:
+            return _stream_records(path)
+        except ValueError:  # a fault; the one-shot parse below reports it
+            pass
         return _build_records(_read_json(path), path)
     finally:
         if enabled:
             gc.enable()
+
+
+def _stream_records(path) -> list[QuestionRecord]:
+    """Build the records of a top-level JSON array one element at a time,
+    holding about one chunk of text. Raises a ValueError on any fault, with
+    no promise about which one: `load_dataset` then reports it."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    scan = json.JSONDecoder().raw_decode
+    records: list[QuestionRecord] = []
+    first_index: dict[str, int] = {}
+    with open(path, "rb") as fh:
+        buf, pos, eof = "", 0, False
+
+        def fill(size):  # drop the consumed text and append `size` more bytes
+            nonlocal buf, pos, eof
+            data = fh.read(size)
+            eof = not data
+            buf = buf[pos:] + decode(data, final=eof)
+            pos = 0
+
+        def next_char():  # the next non-whitespace character, "" at EOF
+            nonlocal pos
+            while True:
+                while pos < len(buf) and buf[pos] in _JSON_SPACE:
+                    pos += 1
+                if pos < len(buf) or eof:
+                    return buf[pos:pos + 1]
+                fill(_CHUNK)
+
+        if next_char() != "[":
+            raise ValueError("not a JSON array")
+        pos += 1
+        if next_char() == "]":
+            pos += 1
+        else:
+            while True:
+                size = _CHUNK
+                while True:
+                    try:
+                        raw, end = scan(buf, pos)
+                    except json.JSONDecodeError:
+                        if eof:
+                            raise
+                    else:  # a number cut at the end of the text may read short
+                        if end < len(buf) or eof:
+                            break
+                    fill(size)  # the element is incomplete: read more, twice as much each time
+                    size *= 2
+                records.append(_build_record(raw, len(records), first_index))
+                pos = end
+                separator = next_char()
+                pos += 1
+                if separator == "]":
+                    break
+                if separator != ",":
+                    raise ValueError("expected ',' or ']'")
+                next_char()  # `scan` takes no leading whitespace
+        if next_char():
+            raise ValueError("extra data")
+    return records
 
 
 def _read_json(path):
@@ -176,36 +248,37 @@ def _read_json(path):
 def _build_records(data, path) -> list[QuestionRecord]:
     if not isinstance(data, list):
         raise DatasetParseError(f"{path}: expected a top-level JSON array of records")
-    records = []
     first_index: dict[str, int] = {}
-    for index, raw in enumerate(data):
-        if not isinstance(raw, dict):
-            raise DatasetSchemaError(index, "<record>", "not a JSON object")
-        record_id = _require(raw, index, "_id")
-        if not isinstance(record_id, str) or not record_id:
-            raise DatasetSchemaError(index, "_id", "must be a nonempty string")
-        if first_index.setdefault(record_id, index) != index:
-            raise DatasetSchemaError(
-                index, "_id", f"{record_id!r} repeats record {first_index[record_id]}"
-            )
-        question = _require(raw, index, "question")
-        answer = _require(raw, index, "answer")
-        context = _parse_context(_require(raw, index, "context"), index)
-        titles = _parse_supporting_titles(_require(raw, index, "supporting_facts"), index)
-        if not isinstance(question, str) or not question:
-            raise DatasetSchemaError(index, "question", "must be a nonempty string")
-        if not isinstance(answer, str) or not answer:
-            raise DatasetSchemaError(index, "answer", "must be a nonempty string")
-        records.append(
-            QuestionRecord(
-                id=record_id,
-                question=question,
-                gold_answer=answer,
-                context=context,
-                supporting_titles=titles,
-            )
+    return [_build_record(raw, index, first_index) for index, raw in enumerate(data)]
+
+
+def _build_record(raw, index: int, first_index: dict[str, int]) -> QuestionRecord:
+    """Check record `index` and build it; `first_index` maps each id seen so
+    far to its record and gains this record's id."""
+    if not isinstance(raw, dict):
+        raise DatasetSchemaError(index, "<record>", "not a JSON object")
+    record_id = _require(raw, index, "_id")
+    if not isinstance(record_id, str) or not record_id:
+        raise DatasetSchemaError(index, "_id", "must be a nonempty string")
+    if first_index.setdefault(record_id, index) != index:
+        raise DatasetSchemaError(
+            index, "_id", f"{record_id!r} repeats record {first_index[record_id]}"
         )
-    return records
+    question = _require(raw, index, "question")
+    answer = _require(raw, index, "answer")
+    context = _parse_context(_require(raw, index, "context"), index)
+    titles = _parse_supporting_titles(_require(raw, index, "supporting_facts"), index)
+    if not isinstance(question, str) or not question:
+        raise DatasetSchemaError(index, "question", "must be a nonempty string")
+    if not isinstance(answer, str) or not answer:
+        raise DatasetSchemaError(index, "answer", "must be a nonempty string")
+    return QuestionRecord(
+        id=record_id,
+        question=question,
+        gold_answer=answer,
+        context=context,
+        supporting_titles=titles,
+    )
 
 
 def record_to_dict(record: QuestionRecord) -> dict:

@@ -5,7 +5,8 @@ malformed row; the completion cache skips a row with a `row_fault` instead.
 
 Every output file sgqa writes goes to a temp file beside its target and is
 renamed over it, so the target holds its old bytes or all of the new ones,
-even if the process is killed mid-write.
+even if the process is killed mid-write. Such a kill leaves the temp file
+behind; `remove_dead_temps` deletes it when a later stage starts.
 
 The one exception is an append-only log, which is appended to, never renamed
 into place: the completion cache's `completions.jsonl`. Each line is appended
@@ -19,12 +20,14 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import threading
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
 
 _TYPE_NAMES = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
+_TEMP_NAME = re.compile(r".+\.(\d+)-\d+\.tmp")  # a `write_atomic` temp file, by writer pid
 
 
 def write_atomic(path, chunks) -> None:
@@ -42,6 +45,33 @@ def write_atomic(path, chunks) -> None:
         except FileNotFoundError:
             pass
         raise
+
+
+def remove_dead_temps(*directories) -> None:
+    """Delete each `write_atomic` temp file in `directories` whose writing
+    process no longer exists. A missing directory holds none."""
+    for directory in directories:
+        try:
+            names = os.listdir(directory)
+        except FileNotFoundError:
+            continue
+        for name in names:
+            match = _TEMP_NAME.fullmatch(name)
+            if match and not _process_exists(int(match[1])):
+                try:
+                    os.unlink(os.path.join(directory, name))
+                except FileNotFoundError:  # another stage removed it first
+                    pass
+
+
+def _process_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OverflowError):  # another user's process; too large for a pid
+        pass
+    return True
 
 
 def write_jsonl(path, rows) -> None:

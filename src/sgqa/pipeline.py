@@ -6,8 +6,10 @@ backend calls. Resume comes from that cache alone. Each stage writes its run
 manifest twice, at its start and at its end; a stage killed in between leaves
 the manifest of the start. Every output file (graphs, predictions, grounding
 reports and their HTML pages, metric tables, metrics.json, the manifest) is
-written through `jsonl`, so it is whole or unchanged, never truncated. The
-experiment matrix (4 prompt variants x 2 settings) is purely configuration.
+written through `jsonl`, so it is whole or unchanged, never truncated; each
+stage starts by deleting the temp files that killed writers left in the
+directories it writes. The experiment matrix (4 prompt variants x 2 settings)
+is purely configuration.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from urllib.parse import urlsplit
 
 from . import chain as chain_mod
 from . import corpus, graph as graph_mod, grounding, metrics, prompts
-from .jsonl import read_rows, write_atomic, write_jsonl
+from .jsonl import read_rows, remove_dead_temps, write_atomic, write_jsonl
 from .llm import (
     CompletionCache,
     HTTPBackend,
@@ -220,6 +222,7 @@ def _run_stage(config: RunConfig, records, filename: str, status: str, worker) -
     mark each record `status` or failed and write the manifest once more. A
     worker returns (rows, None) or (None, failure reason)."""
     out_dir = Path(config.output_dir)
+    remove_dead_temps(out_dir)
     manifest = RunManifest(out_dir / "manifest.json", config)
     manifest.ensure([r.id for r in records])
     if config.workers <= 1:
@@ -425,6 +428,7 @@ def run_evaluate(
     """
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    remove_dead_temps(out_dir)
     gold = {r.id: r.gold_answer for r in records}
 
     known, skipped = [], []
@@ -493,6 +497,8 @@ def run_ground(graphs_path, records: list[corpus.QuestionRecord], output_path,
     html_root = Path(html_dir) if html_dir else None
     if html_root:
         html_root.mkdir(parents=True, exist_ok=True)
+        remove_dead_temps(html_root)
+    remove_dead_temps(Path(output_path).parent)
     count = 0
 
     def reports():

@@ -81,10 +81,6 @@ class Demonstration:
     output_text: str
     id: str
 
-    def __post_init__(self):
-        if self.kind not in DEMO_KINDS:
-            raise ValueError(f"unknown demonstration kind {self.kind!r}")
-
 
 @dataclass(frozen=True)
 class PromptBundle:

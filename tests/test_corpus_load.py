@@ -1,12 +1,15 @@
 """Every error `load_dataset` raises, by exact message, plus the records it
-builds and the cyclic-GC state it leaves behind."""
+builds, the cyclic-GC state it leaves behind and the memory a load holds."""
 
 import dataclasses
 import gc
+import json
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sgqa import cli
+from sgqa import cli, corpus
 from sgqa.corpus import DatasetParseError, DatasetSchemaError, load_dataset
 
 from conftest import write_json
@@ -182,3 +185,97 @@ def test_load_leaves_gc_as_it_found_it(tmp_path, enabled, outcome):
         with pytest.raises(error):
             load_dataset(path)
     assert gc.isenabled() is enabled
+
+
+@pytest.fixture
+def one_shot_parses(monkeypatch):
+    """The paths `load_dataset` parsed in one piece: only after the stream faulted."""
+    parses = []
+    read_json = corpus._read_json
+
+    def counted(path):
+        parses.append(path)
+        return read_json(path)
+
+    monkeypatch.setattr(corpus, "_read_json", counted)
+    return parses
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(texts=st.lists(st.text(alphabet='aé€𝄞 \\"\n\t', min_size=1, max_size=6),
+                      max_size=5),
+       indent=st.sampled_from([None, 0, 1, "\t"]))
+def test_stream_equals_one_shot_parse_at_any_chunk_size(tmp_path, monkeypatch, one_shot_parses,
+                                                        texts, indent):
+    # Multi-byte characters, escapes, whitespace and numbers fall across every
+    # chunk boundary at some chunk size.
+    records = [_record(f"q{i}é", question=text, answer="€" + text, supporting_facts=[[text, 12]],
+                       context=[[text, [text, "𝄞 " + text]], ["𝄞", []]])
+               for i, text in enumerate(texts)]
+    path = tmp_path / "unicode.json"
+    path.write_text("\r\n " + json.dumps(records, ensure_ascii=False, indent=indent) + "\n\t",
+                    encoding="utf-8")
+    expected = corpus._build_records(corpus._read_json(path), path)
+    one_shot_parses.clear()
+    for chunk in (1, 2, 3, 5, 7, 64):
+        monkeypatch.setattr(corpus, "_CHUNK", chunk)
+        assert load_dataset(path) == expected
+    assert one_shot_parses == []
+
+
+@pytest.mark.parametrize("cut", range(1, 5))
+def test_number_cut_at_a_chunk_boundary_is_one_bad_record(tmp_path, monkeypatch,
+                                                         one_shot_parses, cut):
+    head = "[" + json.dumps(_record("good")) + ", "
+    path = tmp_path / "number.json"
+    path.write_text(head + "12345]", encoding="utf-8")
+    monkeypatch.setattr(corpus, "_CHUNK", len(head) + cut)
+    with pytest.raises(DatasetSchemaError) as excinfo:
+        load_dataset(path)
+    assert str(excinfo.value) == "record 1: bad field '<record>' (not a JSON object)"
+    assert one_shot_parses == [path]
+
+
+GOOD = json.dumps(_record("good"))
+TRUNCATED = f'[{GOOD}, {json.dumps(_record("bad", answer=""))}, {GOOD}'.encode()
+JSON_ERROR = f'[{GOOD[:-1]}, "x": }}, {GOOD}, {GOOD}]'.encode()
+EXTRA = f"[{GOOD}] x".encode()
+# Each file has a fault the stream meets first and one the one-shot parse
+# meets first; the one-shot parse's fault is reported.
+FIRST_FAULTS = {
+    "schema error, then truncated": (
+        TRUNCATED, f"malformed JSON at byte offset {len(TRUNCATED)}: Expecting ',' delimiter"),
+    "JSON error, then not UTF-8": (
+        JSON_ERROR[:-20] + b"\xff" + JSON_ERROR[-19:],
+        f"not UTF-8 at byte offset {len(JSON_ERROR) - 20}: invalid start byte"),
+    "extra data": (EXTRA, f"malformed JSON at byte offset {len(EXTRA) - 1}: Extra data"),
+}
+
+
+@pytest.mark.parametrize("data, message", FIRST_FAULTS.values(), ids=FIRST_FAULTS)
+def test_first_fault_of_the_one_shot_parse_wins(tmp_path, monkeypatch, one_shot_parses,
+                                                data, message):
+    path = tmp_path / "faulty.json"
+    path.write_bytes(data)
+    monkeypatch.setattr(corpus, "_CHUNK", 16)
+    with pytest.raises(DatasetParseError) as excinfo:
+        load_dataset(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+    assert one_shot_parses == [path]
+
+
+def test_load_holds_the_records_and_about_one_chunk(tmp_path):
+    sentences = [f"Sentence {i} " + "word " * 40 for i in range(40)]
+    records = [_record(f"q{i}", context=[["T", sentences], ["U", sentences[:5]]])
+               for i in range(1000)]
+    path = write_json(tmp_path / "big.json", records)
+    assert path.stat().st_size >= 8 << 20
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 1000
+    assert peak - held < 4 * corpus._CHUNK

@@ -380,6 +380,35 @@ def test_output_write_failure_keeps_previous_file(tmp_path, monkeypatch, run):
     assert not list(out_dir.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("stage", ["extract", "answer", "evaluate", "ground"])
+def test_stage_removes_temp_files_only_of_dead_writers(tmp_path, records, stage):
+    config = make_config(tmp_path)
+    run_dir = Path(config.output_dir)
+    graphs = pipeline.run_extract(config)
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()  # reaped, so no process has its pid
+    dirs = {"extract": [run_dir], "answer": [run_dir], "evaluate": [tmp_path / "eval"],
+            "ground": [tmp_path / "ground", tmp_path / "ground" / "html"]}[stage]
+    dead, live = [], []
+    for directory in dirs:
+        directory.mkdir(parents=True, exist_ok=True)
+        for pid, paths in ((child.pid, dead), (os.getpid(), live)):
+            path = directory / f"out.jsonl.{pid}-140213.tmp"
+            path.write_text("torn", encoding="utf-8")
+            paths.append(path)
+    if stage == "extract":
+        pipeline.run_extract(config)
+    elif stage == "answer":
+        pipeline.run_answer(config)
+    elif stage == "evaluate":
+        pipeline.run_evaluate([], records, tmp_path / "eval")
+    else:
+        pipeline.run_ground(graphs, records, tmp_path / "ground" / "grounding.jsonl",
+                            html_dir=tmp_path / "ground" / "html")
+    assert [path for path in dead if path.exists()] == []
+    assert [path for path in live if path.exists()] == live
+
+
 # open(...) with a writing mode, or a pathlib in-place write
 IN_PLACE_WRITE = re.compile(
     r"""\bopen\([^)]*["'](?=[rwxabt+]*[wax+])[rwxabt+]+["']|\.write_text\(|\.write_bytes\("""

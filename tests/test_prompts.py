@@ -9,7 +9,6 @@ from sgqa.prompts import (
     MAX_PROMPT_CHARS,
     AssemblyError,
     ConfigurationError,
-    Demonstration,
     PromptVariant,
     Setting,
     default_demo_file,
@@ -242,11 +241,6 @@ def test_select_demos_counts():
     assert len(select_demos(loaded, "entity", 4)) == 4
     with pytest.raises(ConfigurationError, match="need 9"):
         select_demos(loaded, "entity", 9)
-
-
-def test_demonstration_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        Demonstration(kind="qa", input_text="x", output_text="y", id="d")
 
 
 DEMO_ROW = {"kind": "entity", "input_text": "x", "output_text": "y", "id": "d1"}
