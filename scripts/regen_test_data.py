@@ -21,7 +21,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from sgqa import corpus, grounding, pipeline, prompts  # noqa: E402
 from sgqa import graph as graph_mod  # noqa: E402
-from sgqa.llm import extraction_request, qa_request, write_replay_fixture  # noqa: E402
+from sgqa.jsonl import write_jsonl  # noqa: E402
+from sgqa.llm import CompletionCache, request_key, write_replay_fixture  # noqa: E402
 from sgqa.prompts import PromptVariant, Setting  # noqa: E402
 
 GOLDEN_DIR = ROOT / "tests" / "golden"
@@ -34,7 +35,9 @@ VARIANTS = [PromptVariant.BASE, PromptVariant.G_FULL, PromptVariant.SG_MULTI,
 SETTINGS = [Setting.COT, Setting.FEWSHOT]
 
 
-def demos(kind: str, count: int):
+def demos(kind: str):
+    count = (prompts.DEFAULT_QA_DEMOS if kind.startswith("qa")
+             else prompts.DEFAULT_EXTRACTION_DEMOS)
     return prompts.select_demos(
         prompts.load_demonstrations(prompts.default_demo_file(kind)), kind, count
     )
@@ -64,13 +67,13 @@ def write_goldens():
                 graph_mod.Entity("Windermere lake"),
                 graph_mod.Entity("Windermere")]
 
-    bundle = prompts.entity_prompt(target, demos("entity", 4))
+    bundle = prompts.entity_prompt(target, demos("entity"))
     (GOLDEN_DIR / "entity_prompt.golden").write_text(bundle.text, encoding="utf-8")
 
-    bundle = prompts.relation_prompt(target, entities, demos("relation", 4))
+    bundle = prompts.relation_prompt(target, entities, demos("relation"))
     (GOLDEN_DIR / "relation_prompt.golden").write_text(bundle.text, encoding="utf-8")
 
-    bundle = prompts.joint_graph_prompt(target, demos("joint", 4))
+    bundle = prompts.joint_graph_prompt(target, demos("joint"))
     (GOLDEN_DIR / "joint_prompt.golden").write_text(bundle.text, encoding="utf-8")
 
     graph_a = graph_mod.multi_step_graph(
@@ -88,12 +91,12 @@ def write_goldens():
     )
     question = "Which lake is the town of Bowness situated on?"
     bundle = prompts.qa_prompt([target, second], [graph_a, graph_b], question,
-                               Setting.COT, PromptVariant.SG_MULTI, demos("qa_cot", 2))
+                               Setting.COT, PromptVariant.SG_MULTI, demos("qa_cot"))
     (GOLDEN_DIR / "qa_cot_prompt.golden").write_text(bundle.text, encoding="utf-8")
 
     bundle = prompts.qa_prompt([target, second], [graph_a, graph_b], question,
                                Setting.FEWSHOT, PromptVariant.SG_MULTI,
-                               demos("qa_fewshot", 2))
+                               demos("qa_fewshot"))
     (GOLDEN_DIR / "qa_fewshot_prompt.golden").write_text(bundle.text, encoding="utf-8")
     print(f"golden prompts written to {GOLDEN_DIR}")
 
@@ -482,66 +485,54 @@ def build_dataset() -> list[dict]:
     ]
 
 
+class SpecBackend:
+    """Completes each request with `texts[cue]`, the spec's text for the
+    prompt's last line, and keeps each (request, text) it is asked for."""
+
+    backend_id = "spec"
+
+    def __init__(self):
+        self.texts: dict[str, str] = {}
+        self.entries: dict[str, tuple] = {}  # request key -> (request, text)
+
+    def complete(self, request):
+        text = self.texts[request.prompt.rpartition("\n")[2]]
+        self.entries.setdefault(request_key(request), (request, text))
+        return text
+
+
+def lines(items) -> str:
+    return "\n" + "\n".join(items) + "\n"
+
+
 def build_replay_entries(records):
-    """Author a completion for every request the 8-cell pipeline will make."""
+    """Author a completion for every request the 8-cell pipeline will make, by
+    running its extraction and answering steps against the question specs."""
     spec_by_id = {spec["id"]: spec for spec in QUESTIONS}
-    demo_entity = demos("entity", 4)
-    demo_relation = demos("relation", 4)
-    demo_joint = demos("joint", 4)
-    demo_qa = {Setting.COT: demos("qa_cot", 2), Setting.FEWSHOT: demos("qa_fewshot", 2)}
-    entries: dict[str, tuple] = {}
-
-    def add(request, text):
-        from sgqa.llm import request_key
-
-        entries[request_key(request)] = (request, text)
-
-    graphs_by_variant: dict[PromptVariant, dict[str, list]] = {}
-    for variant in (PromptVariant.G_FULL, PromptVariant.SG_MULTI, PromptVariant.SG_ONE):
-        graphs_by_variant[variant] = {}
-        for record in records:
-            spec = spec_by_id[record.id]
-            graphs = []
-            for paragraph in corpus.gold_paragraphs(record):
-                entity_lines = spec["entities"][paragraph.title]
-                triple_lines = spec["triples"][paragraph.title]
-                entity_text = "\n" + "\n".join(entity_lines) + "\n"
-                triple_text = "\n" + "\n".join(triple_lines) + "\n"
-
-                if variant is PromptVariant.SG_ONE:
-                    joint_lines = spec["joint_triples"][paragraph.title]
-                    joint_text = "\n" + "\n".join(joint_lines) + "\n"
-                    bundle = prompts.joint_graph_prompt(paragraph, demo_joint)
-                    add(extraction_request(bundle.text, MODEL_ID), joint_text)
-                    triples, _ = graph_mod.parse_triples(joint_text)
-                    graphs.append(graph_mod.joint_graph(paragraph.title, triples))
-                    continue
-
-                bundle = prompts.entity_prompt(paragraph, demo_entity)
-                add(extraction_request(bundle.text, MODEL_ID), entity_text)
-                entities, _ = graph_mod.parse_entities(entity_text)
-                if variant is PromptVariant.G_FULL:
-                    graphs.append(
-                        graph_mod.build_full_graph(entities, source_title=paragraph.title)
-                    )
-                else:
-                    bundle = prompts.relation_prompt(paragraph, entities, demo_relation)
-                    add(extraction_request(bundle.text, MODEL_ID), triple_text)
-                    triples, _ = graph_mod.parse_triples(triple_text, known_entities=entities)
-                    graphs.append(graph_mod.multi_step_graph(paragraph.title, entities, triples))
-            graphs_by_variant[variant][record.id] = graphs
-
-    for variant in VARIANTS:
-        for setting in SETTINGS:
+    backend = SpecBackend()
+    graphs: dict[tuple, list] = {}  # (variant, question id) -> graph per gold paragraph
+    with tempfile.TemporaryDirectory() as cache_dir, CompletionCache(cache_dir) as cache:
+        for variant in pipeline.EXTRACTION_DEMO_KINDS:  # the variants that extract
+            variant_demos = {kind: demos(kind)
+                             for kind in pipeline.EXTRACTION_DEMO_KINDS[variant]}
+            triples = "joint_triples" if variant is PromptVariant.SG_ONE else "triples"
             for record in records:
                 spec = spec_by_id[record.id]
-                paragraphs = corpus.gold_paragraphs(record)
-                graphs = (graphs_by_variant[variant][record.id]
-                          if variant is not PromptVariant.BASE else [])
-                bundle = prompts.qa_prompt(paragraphs, graphs, record.question,
-                                           setting, variant, demo_qa[setting])
-                add(qa_request(bundle.text, MODEL_ID), qa_completion(spec, variant, setting))
-    return list(entries.values())
+                for paragraph in corpus.gold_paragraphs(record):
+                    backend.texts = {"Entities:": lines(spec["entities"][paragraph.title]),
+                                     "Graph:": lines(spec[triples][paragraph.title])}
+                    graphs.setdefault((variant, record.id), []).append(
+                        pipeline.extract_paragraph_graph(paragraph, variant, variant_demos,
+                                                         backend, cache, MODEL_ID))
+        for variant in VARIANTS:
+            for setting in SETTINGS:
+                qa_demos = demos(f"qa_{setting.value}")
+                for record in records:
+                    backend.texts = {"A:": qa_completion(spec_by_id[record.id], variant, setting)}
+                    pipeline.answer_question(record, graphs.get((variant, record.id), []),
+                                             variant, setting, qa_demos, backend, cache,
+                                             MODEL_ID)
+    return list(backend.entries.values())
 
 
 def write_e2e_fixture():
@@ -555,14 +546,12 @@ def write_e2e_fixture():
     entries = build_replay_entries(records)
     write_replay_fixture(E2E_DIR / "replay.jsonl", entries)
 
-    with open(E2E_DIR / "labels.jsonl", "w", encoding="utf-8") as fh:
-        for qid, label in LABELS.items():
-            fh.write(json.dumps({"question_id": qid, "label": label}) + "\n")
-    with open(E2E_DIR / "references.jsonl", "w", encoding="utf-8") as fh:
-        for spec in QUESTIONS:
-            chain = f"{spec['ref_chain']} So the answer is: {spec['answer']}."
-            fh.write(json.dumps({"question_id": spec["id"], "chain": chain},
-                                ensure_ascii=False) + "\n")
+    write_jsonl(E2E_DIR / "labels.jsonl",
+                ({"question_id": qid, "label": label} for qid, label in LABELS.items()))
+    write_jsonl(E2E_DIR / "references.jsonl", (
+        {"question_id": spec["id"],
+         "chain": f"{spec['ref_chain']} So the answer is: {spec['answer']}."}
+        for spec in QUESTIONS))
     print(f"e2e inputs written to {E2E_DIR} ({len(entries)} replay entries)")
 
 
@@ -601,8 +590,6 @@ def run_pipeline_and_freeze_metrics():
                 else:
                     prediction_files.append(pipeline.run_answer(config))
         predictions = pipeline.read_predictions(prediction_files)
-        failed = [row for row in predictions if row is None]
-        assert not failed
         records = corpus.load_dataset(E2E_DIR / "dataset.json", "hotpotqa")
         report = pipeline.run_evaluate(
             predictions,

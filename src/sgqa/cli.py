@@ -2,8 +2,9 @@
 correlate, ground, report.
 
 Each RunConfig field is set by one flag. A JSON file given via --config
-overrides flags by flag or field name (dashes become underscores). Exit code
-is nonzero when a question of the run failed, unless --allow-partial is set.
+overrides flags by flag or field name (dashes become underscores); each value
+must have its field's JSON type. Exit code is nonzero when a question of the
+run failed, unless --allow-partial is set.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import argparse
 import json
 import logging
 import sys
+import typing
 from pathlib import Path
 
 from . import corpus, pipeline
-from .jsonl import write_atomic
+from .jsonl import row_fault, write_atomic
 from .pipeline import RunConfig, UsageError
 
 logger = logging.getLogger(__name__)
@@ -62,17 +64,34 @@ _CONFIG_ALIASES = {
 }
 
 
+# The JSON type of each RunConfig field's value; the enum fields take strings.
+_CONFIG_TYPES = {name: str if issubclass(kind, str) else kind
+                 for name, kind in typing.get_type_hints(RunConfig).items()}
+
+
 def _run_config(args: argparse.Namespace) -> RunConfig:
     kwargs = {name: getattr(args, name) for name in RunConfig.__dataclass_fields__}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            overrides = json.load(fh)
+            try:
+                overrides = json.load(fh)
+            except ValueError as exc:  # malformed JSON or UTF-8
+                raise UsageError(f"{args.config}: {exc}") from exc
+        if type(overrides) is not dict:
+            raise UsageError(f"{args.config}: the top level must be a JSON object")
         for key, value in overrides.items():
             field = key.replace("-", "_")
             field = _CONFIG_ALIASES.get(field, field)
             if field not in RunConfig.__dataclass_fields__:
-                raise UsageError(f"unknown config key {key!r}")
+                raise UsageError(f"{args.config}: unknown config key {key!r}")
+            fault = row_fault(overrides, {key: _CONFIG_TYPES[field]})
+            if fault is not None:
+                raise UsageError(f"{args.config}: {fault}")
             kwargs[field] = value
+        try:
+            return RunConfig(**kwargs)
+        except ValueError as exc:  # a value the flags' choices would have refused
+            raise UsageError(f"{args.config}: {exc}") from exc
     return RunConfig(**kwargs)
 
 

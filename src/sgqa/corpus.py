@@ -204,12 +204,10 @@ def _stream_records(path) -> list[QuestionRecord]:
                 while True:
                     try:
                         raw, end = scan(buf, pos)
+                        break
                     except json.JSONDecodeError:
                         if eof:
                             raise
-                    else:  # a number cut at the end of the text may read short
-                        if end < len(buf) or eof:
-                            break
                     fill(size)  # the element is incomplete: read more, twice as much each time
                     size *= 2
                 records.append(_build_record(raw, len(records), first_index))

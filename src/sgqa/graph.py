@@ -37,7 +37,9 @@ class GraphVariant(str, Enum):
 
 @dataclass(frozen=True)
 class Entity:
-    """A short text span naming an object/event/truth; trimmed, single-line."""
+    """A short text span naming an object/event/truth; trimmed, single-line.
+    Entities compare and hash by text, so `dict.fromkeys` dedupes them and
+    keeps each first occurrence in order."""
 
     text: str
 
@@ -219,29 +221,10 @@ def parse_triples(
     return triples, report
 
 
-def _dedupe(entities: list[Entity] | tuple[Entity, ...]) -> list[Entity]:
-    seen: set[str] = set()
-    out = []
-    for entity in entities:
-        if entity.text not in seen:
-            seen.add(entity.text)
-            out.append(entity)
-    return out
-
-
-def _endpoint_closure(entities: list[Entity], triples: list[Triple]) -> tuple[Entity, ...]:
-    """Entity list extended with triple endpoints, in first-appearance order."""
-    merged = list(entities)
-    for triple in triples:
-        merged.append(triple.subject)
-        merged.append(triple.object)
-    return tuple(_dedupe(merged))
-
-
 def entities_graph(source_title: str, entities: list[Entity]) -> SemanticGraph:
     return SemanticGraph(
         variant=GraphVariant.ENTITIES_ONLY,
-        entities=tuple(_dedupe(entities)),
+        entities=tuple(dict.fromkeys(entities)),
         source_title=source_title,
     )
 
@@ -249,11 +232,11 @@ def entities_graph(source_title: str, entities: list[Entity]) -> SemanticGraph:
 def build_full_graph(entities: list[Entity], source_title: str = "") -> SemanticGraph:
     """Fully connected graph: all unordered pairs of distinct entities in
     listing order, k·(k−1)/2 of them."""
-    distinct = _dedupe(entities)
+    distinct = tuple(dict.fromkeys(entities))
     pairs = tuple(EntityPair(a, b) for a, b in itertools.combinations(distinct, 2))
     return SemanticGraph(
         variant=GraphVariant.G_FULL,
-        entities=tuple(distinct),
+        entities=distinct,
         pairs=pairs,
         source_title=source_title,
     )
@@ -266,7 +249,8 @@ def multi_step_graph(
     appended so the graph stays self-contained."""
     return SemanticGraph(
         variant=GraphVariant.SG_MULTI,
-        entities=_endpoint_closure(_dedupe(entities), triples),
+        entities=tuple(dict.fromkeys(
+            [*entities, *(e for t in triples for e in (t.subject, t.object))])),
         triples=tuple(triples),
         source_title=source_title,
     )
@@ -276,7 +260,7 @@ def joint_graph(source_title: str, triples: list[Triple]) -> SemanticGraph:
     """SG-One graph; entities are the triple endpoints in appearance order."""
     return SemanticGraph(
         variant=GraphVariant.SG_ONE,
-        entities=_endpoint_closure([], triples),
+        entities=tuple(dict.fromkeys(e for t in triples for e in (t.subject, t.object))),
         triples=tuple(triples),
         source_title=source_title,
     )
@@ -330,13 +314,9 @@ def parse_graph(
         return entities_graph(source_title, entities), report
     if variant is GraphVariant.G_FULL:
         pairs, report = parse_pairs(raw)
-        endpoints: list[Entity] = []
-        for pair in pairs:
-            endpoints.append(pair.left)
-            endpoints.append(pair.right)
         graph = SemanticGraph(
             variant=GraphVariant.G_FULL,
-            entities=tuple(_dedupe(endpoints)),
+            entities=tuple(dict.fromkeys(e for p in pairs for e in (p.left, p.right))),
             pairs=tuple(pairs),
             source_title=source_title,
         )

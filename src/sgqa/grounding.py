@@ -19,8 +19,6 @@ from .graph import SemanticGraph
 
 logger = logging.getLogger(__name__)
 
-ELEMENT_KINDS = ("entity", "subject", "relation", "object")
-
 HTML_CLASS = {"entity": "entity", "subject": "entity", "object": "entity",
               "relation": "relation"}
 
@@ -31,12 +29,6 @@ class GroundingSpan:
     char_start: int
     char_end: int
     matched_text: str
-
-    def __post_init__(self):
-        if self.element_kind not in ELEMENT_KINDS:
-            raise ValueError(f"unknown element kind {self.element_kind!r}")
-        if not 0 <= self.char_start < self.char_end:
-            raise ValueError(f"bad span offsets [{self.char_start}, {self.char_end})")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ from pathlib import Path
 
 logger = logging.getLogger(__name__)
 
-_TYPE_NAMES = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", list: "an array",
+               dict: "an object"}
 _TEMP_NAME = re.compile(r".+\.(\d+)-\d+\.tmp")  # a `write_atomic` temp file, by writer pid
 
 
@@ -92,8 +93,8 @@ def read_jsonl(path):
 
 
 def row_fault(row, fields) -> str | None:
-    """What is wrong with the first of `fields` (name -> str, int, list or
-    dict) that the parsed `row` lacks or holds with another JSON type; None
+    """What is wrong with the first of `fields` (name -> str, int, bool, list
+    or dict) that the parsed `row` lacks or holds with another JSON type; None
     if there is no such field. `true` and `1.0` are not integers."""
     for name, kind in fields.items():
         if type(row) is not dict or name not in row:

@@ -1,5 +1,10 @@
 """Run orchestration: extract graphs, answer questions, evaluate outputs.
 
+The method is two per-item LLM steps: `extract_paragraph_graph` builds one
+gold paragraph's semantic graph, and `answer_question` answers one question
+with a prompt that carries those graphs. `run_extract` and `run_answer` map
+them over the records.
+
 Stages are idempotent: completions are cached on disk, so re-running (or
 resuming after a kill) recomputes outputs byte-identically without repeat
 backend calls. Resume comes from that cache alone. Each stage writes its run
@@ -28,7 +33,7 @@ from urllib.parse import urlsplit
 
 from . import chain as chain_mod
 from . import corpus, graph as graph_mod, grounding, metrics, prompts
-from .jsonl import read_rows, remove_dead_temps, write_atomic, write_jsonl
+from .jsonl import read_rows, remove_dead_temps, row_fault, write_atomic, write_jsonl
 from .llm import (
     CompletionCache,
     HTTPBackend,
@@ -92,6 +97,7 @@ class RunConfig:
 
 
 _STATUS_RANK = {"pending": 0, "extracted": 1, "answered": 2}
+_STATUSES = (*_STATUS_RANK, "failed")
 
 
 class RunManifest:
@@ -111,6 +117,15 @@ class RunManifest:
             questions = self._data.get("questions") if isinstance(self._data, dict) else None
             if not isinstance(questions, dict):
                 raise ValueError(f"{self.path}: damaged manifest: no 'questions' object")
+            for qid, entry in questions.items():
+                fault = row_fault(entry, {"status": str})
+                if fault is None and entry["status"] not in _STATUSES:
+                    fault = f"unknown status {entry['status']!r}"
+                elif fault is None and ("reason" not in entry
+                                        or type(entry["reason"]) not in (str, type(None))):
+                    fault = "field 'reason' must be a string or null"
+                if fault is not None:
+                    raise ValueError(f"{self.path}: damaged manifest: question {qid!r}: {fault}")
             if config is not None:
                 self._data["config"] = config.snapshot()
         else:
@@ -216,6 +231,46 @@ def extract_paragraph_graph(
     return graph_mod.multi_step_graph(paragraph.title, entities, triples)
 
 
+def answer_question(
+    record: corpus.QuestionRecord,
+    graphs: list[graph_mod.SemanticGraph],
+    variant: PromptVariant,
+    setting: Setting,
+    demos: list[prompts.Demonstration],
+    backend,
+    cache: CompletionCache,
+    model_id: str,
+) -> dict:
+    """Answer one question with the variant's QA prompt, whose documents carry
+    `graphs` (one per gold paragraph; none for the base variant), and return
+    its predictions row."""
+    bundle = prompts.qa_prompt(
+        corpus.gold_paragraphs(record), graphs, record.question, setting, variant, demos
+    )
+    completion = cached_generate(qa_request(bundle.text, model_id), backend, cache)
+    flags: list[str] = []
+    if setting is Setting.COT:
+        parsed = chain_mod.parse_chain(completion.text)
+        sentences = list(parsed.sentences)
+        answer = parsed.extracted_answer
+        if parsed.used_fallback:
+            flags.append("no-answer-pattern")
+    else:
+        sentences = []
+        answer = completion.text.strip()
+    return {
+        "question_id": record.id,
+        "variant": variant.value,
+        "setting": setting.value,
+        "prompt_hash": bundle.prompt_hash,
+        "completion": completion.text,
+        "chain_sentences": sentences,
+        "answer": answer,
+        "backend_id": completion.backend_id,
+        "flags": flags,
+    }
+
+
 def _run_stage(config: RunConfig, records, filename: str, status: str, worker) -> Path:
     """Run one stage: write the manifest, map `worker` over the records in
     input order, write every row it returns to <output_dir>/<filename>, then
@@ -314,41 +369,14 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
 
     def worker(record: corpus.QuestionRecord):
         try:
-            paragraphs = corpus.gold_paragraphs(record)
+            graphs = []
             if needs_graphs:
                 by_index = graphs_by_qid.get(record.id)
-                if by_index is None or len(by_index) != len(paragraphs):
+                if by_index is None or len(by_index) != len(corpus.gold_paragraphs(record)):
                     return None, "missing graph"
-                graphs = [by_index[i] for i in range(len(paragraphs))]
-            else:
-                graphs = []
-            bundle = prompts.qa_prompt(
-                paragraphs, graphs, record.question, config.setting, config.variant, demos
-            )
-            completion = cached_generate(
-                qa_request(bundle.text, config.model_id), backend, cache
-            )
-            flags: list[str] = []
-            if config.setting is Setting.COT:
-                parsed = chain_mod.parse_chain(completion.text)
-                sentences = list(parsed.sentences)
-                answer = parsed.extracted_answer
-                if parsed.used_fallback:
-                    flags.append("no-answer-pattern")
-            else:
-                sentences = []
-                answer = completion.text.strip()
-            row = {
-                "question_id": record.id,
-                "variant": config.variant.value,
-                "setting": config.setting.value,
-                "prompt_hash": bundle.prompt_hash,
-                "completion": completion.text,
-                "chain_sentences": sentences,
-                "answer": answer,
-                "backend_id": completion.backend_id,
-                "flags": flags,
-            }
+                graphs = [by_index[i] for i in range(len(by_index))]
+            row = answer_question(record, graphs, config.variant, config.setting, demos,
+                                  backend, cache, config.model_id)
         except Exception as exc:
             logger.exception("answering failed for %s", record.id)
             return None, f"answer: {exc}"

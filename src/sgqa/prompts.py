@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
@@ -85,10 +85,10 @@ class Demonstration:
 @dataclass(frozen=True)
 class PromptBundle:
     text: str
-    prompt_hash: str = field(default="")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prompt_hash", hash_prompt(self.text))
+    @property
+    def prompt_hash(self) -> str:
+        return hash_prompt(self.text)
 
 
 def hash_prompt(text: str) -> str:
@@ -123,16 +123,29 @@ def _document_body(paragraph: Paragraph) -> str:
     return f"Wikipedia Title: {paragraph.title}\n{clean_text(paragraph.text)}"
 
 
+# The line that ends each extraction prompt and opens its completion.
+_EXTRACTION_CUES = {"entity": "Entities:", "relation": "Graph:", "joint": "Graph:"}
+
+
+def _extraction_prompt(kind: str, paragraph: Paragraph, demos: list[Demonstration],
+                       entities=()) -> PromptBundle:
+    """Demonstration Document blocks, each with its cue and output, then the
+    target document, the entities one per line, and the cue."""
+    _check_demo_kinds(demos, kind)
+    cue = _EXTRACTION_CUES[kind]
+    blocks = [f"Document:\n{d.input_text}\n{cue}\n{d.output_text}" for d in demos]
+    blocks.append("\n".join([f"Document:\n{_document_body(paragraph)}",
+                             *(e.text for e in entities), cue]))
+    return _finish(blocks)
+
+
 def entity_prompt(
     paragraph: Paragraph,
     demos: list[Demonstration],
 ) -> PromptBundle:
     """Entity-extraction prompt: demonstration Document/Entities blocks, then
     the target document, ending at "Entities:"."""
-    _check_demo_kinds(demos, "entity")
-    blocks = [f"Document:\n{d.input_text}\nEntities:\n{d.output_text}" for d in demos]
-    blocks.append(f"Document:\n{_document_body(paragraph)}\nEntities:")
-    return _finish(blocks)
+    return _extraction_prompt("entity", paragraph, demos)
 
 
 def relation_prompt(
@@ -142,13 +155,9 @@ def relation_prompt(
 ) -> PromptBundle:
     """Relation-extraction prompt: the document, the extracted entities one
     per line, then "Graph:"."""
-    _check_demo_kinds(demos, "relation")
     if not entities:
         raise ValueError("relation_prompt requires a nonempty entity list")
-    blocks = [f"Document:\n{d.input_text}\nGraph:\n{d.output_text}" for d in demos]
-    entity_lines = "\n".join(e.text for e in entities)
-    blocks.append(f"Document:\n{_document_body(paragraph)}\n{entity_lines}\nGraph:")
-    return _finish(blocks)
+    return _extraction_prompt("relation", paragraph, demos, entities)
 
 
 def joint_graph_prompt(
@@ -156,12 +165,9 @@ def joint_graph_prompt(
     demos: list[Demonstration],
 ) -> PromptBundle:
     """Joint-extraction prompt: "Graph:" directly after the document."""
-    _check_demo_kinds(demos, "joint")
     if not paragraph.text.strip():
         raise ValueError("joint_graph_prompt requires nonempty paragraph text")
-    blocks = [f"Document:\n{d.input_text}\nGraph:\n{d.output_text}" for d in demos]
-    blocks.append(f"Document:\n{_document_body(paragraph)}\nGraph:")
-    return _finish(blocks)
+    return _extraction_prompt("joint", paragraph, demos)
 
 
 def qa_prompt(

@@ -211,6 +211,33 @@ def test_end_to_end_determinism(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("variant", ["g-full", "sg-multi", "sg-one"])
+def test_each_request_renders_through_the_prompts_module(tmp_path, monkeypatch, records,
+                                                        variant):
+    """The benchmark times prompt rendering by patching these attributes of
+    `prompts`, so the pipeline must look each one up there per request."""
+    calls = dict.fromkeys(("entity_prompt", "relation_prompt", "joint_graph_prompt",
+                           "qa_prompt"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _render=getattr(prompts, name), **kwargs):
+            calls[_name] += 1
+            return _render(*args, **kwargs)
+        monkeypatch.setattr(prompts, name, counting)
+    config = make_config(tmp_path, variant=variant)
+    graph_rows = [json.loads(line) for line in
+                  pipeline.run_extract(config).read_text(encoding="utf-8").splitlines()]
+    assert len(pipeline.read_predictions([pipeline.run_answer(config)])) == len(records)
+
+    paragraphs = sum(len(corpus.gold_paragraphs(r)) for r in records)
+    with_entities = sum(bool(row["graph"]["entities"]) for row in graph_rows)
+    assert calls == {
+        "entity_prompt": 0 if variant == "sg-one" else paragraphs,
+        "relation_prompt": with_entities if variant == "sg-multi" else 0,
+        "joint_graph_prompt": paragraphs if variant == "sg-one" else 0,
+        "qa_prompt": len(records),
+    }
+
+
 def test_replay_run_never_loads_the_http_stack(tmp_path):
     """In a fresh interpreter, extract and answer on the replay backend leave
     the transport, http.client and ssl unimported."""
@@ -611,6 +638,32 @@ def test_cli_config_file_rejects_unknown_key(tmp_path):
         assert code == 2, key
 
 
+@pytest.mark.parametrize("text,error", [
+    ("[1]", "the top level must be a JSON object"),
+    ('{"workers": "2"}', 'field \'workers\' must be an integer, got "2"'),
+    ('{"seed": true}', "field 'seed' must be an integer, got true"),
+    ('{"allow-partial": 1}', "field 'allow-partial' must be a boolean, got 1"),
+    ('{"variant": 1}', "field 'variant' must be a string, got 1"),
+    ('{"model": null}', "field 'model' must be a string, got null"),
+    ('{\n"seed": }', "Expecting value: line 2"),
+    ('{"not_a_field": 1}', "unknown config key 'not_a_field'"),
+    ('{"variant": "nope"}', "'nope' is not a valid PromptVariant"),
+    ('{"split": "train"}', "unknown split 'train'"),
+])
+def test_cli_names_faulty_config_file(tmp_path, capsys, text, error):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(text)
+    code = run_cli([
+        "answer", "--dataset", E2E / "dataset.json", "--variant", "base",
+        "--backend", "replay", "--replay-file", E2E / "replay.jsonl",
+        "--cache-dir", tmp_path / "cache", "--output-dir", tmp_path / "run",
+        "--config", config_file,
+    ])
+    assert code == 2
+    assert f"error: {config_file}: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["extract", "answer"])
 def test_every_run_config_field_is_a_flag(command):
     args = cli.build_parser().parse_args([command, "--dataset", "d", "--output-dir", "o"])
@@ -875,7 +928,21 @@ def test_cli_answer_names_damaged_manifest(tmp_path, capsys):
     assert run_cli(args) == 0
     manifest = tmp_path / "run" / "manifest.json"
     truncated = manifest.read_bytes()[:40]
-    for damaged, why in ((truncated, "Expecting"), (b"[]", "no 'questions' object")):
+    entry = "question 'e2e-01': "
+    for damaged, why in (
+        (truncated, "Expecting"),
+        (b"[]", "no 'questions' object"),
+        (b'{"config": {}, "questions": {"e2e-01": {}}}', entry + "missing field 'status'"),
+        (b'{"questions": {"e2e-01": "answered"}}', entry + "missing field 'status'"),
+        (b'{"questions": {"e2e-01": {"status": 2, "reason": null}}}',
+         entry + "field 'status' must be a string, got 2"),
+        (b'{"questions": {"e2e-01": {"status": "done", "reason": null}}}',
+         entry + "unknown status 'done'"),
+        (b'{"questions": {"e2e-01": {"status": "failed", "reason": 3}}}',
+         entry + "field 'reason' must be a string or null"),
+        (b'{"questions": {"e2e-01": {"status": "failed"}}}',
+         entry + "field 'reason' must be a string or null"),
+    ):
         manifest.write_bytes(damaged)
         capsys.readouterr()
         assert run_cli(args) == 2
