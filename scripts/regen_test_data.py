@@ -35,14 +35,6 @@ VARIANTS = [PromptVariant.BASE, PromptVariant.G_FULL, PromptVariant.SG_MULTI,
 SETTINGS = [Setting.COT, Setting.FEWSHOT]
 
 
-def demos(kind: str):
-    count = (prompts.DEFAULT_QA_DEMOS if kind.startswith("qa")
-             else prompts.DEFAULT_EXTRACTION_DEMOS)
-    return prompts.select_demos(
-        prompts.load_demonstrations(prompts.default_demo_file(kind)), kind, count
-    )
-
-
 # --------------------------------------------------------------------------
 # Golden prompt files (five families)
 # --------------------------------------------------------------------------
@@ -67,13 +59,13 @@ def write_goldens():
                 graph_mod.Entity("Windermere lake"),
                 graph_mod.Entity("Windermere")]
 
-    bundle = prompts.entity_prompt(target, demos("entity"))
+    bundle = prompts.entity_prompt(target, prompts.demo_set("entity"))
     (GOLDEN_DIR / "entity_prompt.golden").write_text(bundle.text, encoding="utf-8")
 
-    bundle = prompts.relation_prompt(target, entities, demos("relation"))
+    bundle = prompts.relation_prompt(target, entities, prompts.demo_set("relation"))
     (GOLDEN_DIR / "relation_prompt.golden").write_text(bundle.text, encoding="utf-8")
 
-    bundle = prompts.joint_graph_prompt(target, demos("joint"))
+    bundle = prompts.joint_graph_prompt(target, prompts.demo_set("joint"))
     (GOLDEN_DIR / "joint_prompt.golden").write_text(bundle.text, encoding="utf-8")
 
     graph_a = graph_mod.multi_step_graph(
@@ -91,12 +83,12 @@ def write_goldens():
     )
     question = "Which lake is the town of Bowness situated on?"
     bundle = prompts.qa_prompt([target, second], [graph_a, graph_b], question,
-                               Setting.COT, PromptVariant.SG_MULTI, demos("qa_cot"))
+                               Setting.COT, PromptVariant.SG_MULTI, prompts.demo_set("qa_cot"))
     (GOLDEN_DIR / "qa_cot_prompt.golden").write_text(bundle.text, encoding="utf-8")
 
     bundle = prompts.qa_prompt([target, second], [graph_a, graph_b], question,
                                Setting.FEWSHOT, PromptVariant.SG_MULTI,
-                               demos("qa_fewshot"))
+                               prompts.demo_set("qa_fewshot"))
     (GOLDEN_DIR / "qa_fewshot_prompt.golden").write_text(bundle.text, encoding="utf-8")
     print(f"golden prompts written to {GOLDEN_DIR}")
 
@@ -513,7 +505,7 @@ def build_replay_entries(records):
     graphs: dict[tuple, list] = {}  # (variant, question id) -> graph per gold paragraph
     with tempfile.TemporaryDirectory() as cache_dir, CompletionCache(cache_dir) as cache:
         for variant in pipeline.EXTRACTION_DEMO_KINDS:  # the variants that extract
-            variant_demos = {kind: demos(kind)
+            variant_demos = {kind: prompts.demo_set(kind)
                              for kind in pipeline.EXTRACTION_DEMO_KINDS[variant]}
             triples = "joint_triples" if variant is PromptVariant.SG_ONE else "triples"
             for record in records:
@@ -526,7 +518,7 @@ def build_replay_entries(records):
                                                          backend, cache, MODEL_ID))
         for variant in VARIANTS:
             for setting in SETTINGS:
-                qa_demos = demos(f"qa_{setting.value}")
+                qa_demos = prompts.demo_set(f"qa_{setting.value}")
                 for record in records:
                     backend.texts = {"A:": qa_completion(spec_by_id[record.id], variant, setting)}
                     pipeline.answer_question(record, graphs.get((variant, record.id), []),

@@ -136,7 +136,6 @@ def cmd_evaluate(args) -> int:
 def cmd_ground(args) -> int:
     records = corpus.load_dataset(args.dataset_path, args.dataset_format)
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     html_dir = out / "html" if args.html else None
     count = pipeline.run_ground(args.graphs, records, out / "grounding.jsonl", html_dir)
     print(f"{count} grounding reports written to {out / 'grounding.jsonl'}")

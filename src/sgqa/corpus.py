@@ -279,18 +279,6 @@ def _build_record(raw, index: int, first_index: dict[str, int]) -> QuestionRecor
     )
 
 
-def record_to_dict(record: QuestionRecord) -> dict:
-    """Re-serialize a record into the published schema (supporting sent indices
-    are not retained by the typed model and are emitted as 0)."""
-    return {
-        "_id": record.id,
-        "question": record.question,
-        "answer": record.gold_answer,
-        "supporting_facts": [[t, 0] for t in sorted(record.supporting_titles)],
-        "context": [[p.title, list(p.sentences)] for p in record.context],
-    }
-
-
 def gold_paragraphs(record: QuestionRecord) -> list[Paragraph]:
     """Context paragraphs whose title is a supporting-fact title, in context order.
 

@@ -2,8 +2,11 @@
 
 The method is two per-item LLM steps: `extract_paragraph_graph` builds one
 gold paragraph's semantic graph, and `answer_question` answers one question
-with a prompt that carries those graphs. `run_extract` and `run_answer` map
-them over the records.
+with a prompt that carries those graphs. `_run_stage` is the one driver of a
+backend stage: it loads the records, builds the backend, opens the completion
+cache, maps a per-record step over the records, records a failing step's
+reason and writes the rows and the manifest. `run_extract` and `run_answer`
+hold only their own checks, their demonstrations and that step.
 
 Stages are idempotent: completions are cached on disk, so re-running (or
 resuming after a kill) recomputes outputs byte-identically without repeat
@@ -89,12 +92,6 @@ class RunConfig:
         if self.backend not in ("replay", "live"):
             raise UsageError(f"unknown backend {self.backend!r}")
 
-    def snapshot(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["variant"] = self.variant.value
-        data["setting"] = self.setting.value
-        return data
-
 
 _STATUS_RANK = {"pending": 0, "extracted": 1, "answered": 2}
 _STATUSES = (*_STATUS_RANK, "failed")
@@ -127,10 +124,10 @@ class RunManifest:
                 if fault is not None:
                     raise ValueError(f"{self.path}: damaged manifest: question {qid!r}: {fault}")
             if config is not None:
-                self._data["config"] = config.snapshot()
+                self._data["config"] = dataclasses.asdict(config)
         else:
             self._data = {
-                "config": config.snapshot() if config else {},
+                "config": dataclasses.asdict(config) if config else {},
                 "questions": {},
             }
 
@@ -185,17 +182,6 @@ def make_backend(config: RunConfig):
             f"live backend endpoint {config.endpoint!r} needs an http:// or https:// scheme"
         )
     return HTTPBackend(config.endpoint)
-
-
-def _demo_set(config: RunConfig, kind: str) -> list[prompts.Demonstration]:
-    if config.demo_dir:
-        path = Path(config.demo_dir) / f"{kind}.jsonl"
-    else:
-        path = prompts.default_demo_file(kind)
-    count = (
-        prompts.DEFAULT_QA_DEMOS if kind.startswith("qa") else prompts.DEFAULT_EXTRACTION_DEMOS
-    )
-    return prompts.select_demos(prompts.load_demonstrations(path), kind, count)
 
 
 def extract_paragraph_graph(
@@ -271,28 +257,41 @@ def answer_question(
     }
 
 
-def _run_stage(config: RunConfig, records, filename: str, status: str, worker) -> Path:
-    """Run one stage: write the manifest, map `worker` over the records in
-    input order, write every row it returns to <output_dir>/<filename>, then
-    mark each record `status` or failed and write the manifest once more. A
-    worker returns (rows, None) or (None, failure reason)."""
-    out_dir = Path(config.output_dir)
-    remove_dead_temps(out_dir)
-    manifest = RunManifest(out_dir / "manifest.json", config)
-    manifest.ensure([r.id for r in records])
-    if config.workers <= 1:
-        outcomes = [worker(r) for r in records]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(worker, records))
-    path = out_dir / filename
-    write_jsonl(path, (row for rows, _ in outcomes for row in rows or ()))
-    for record, (_, failure) in zip(records, outcomes):
-        if failure is None:
-            manifest.mark(record.id, status)
+def _run_stage(config: RunConfig, stage: str, filename: str, status: str, step) -> Path:
+    """Run one backend stage: load the records, build the backend, write the
+    manifest, map `step(record, backend, cache)` over the records in input
+    order, write every row it returns to <output_dir>/<filename>, then mark
+    each record `status` or failed and write the manifest once more. A step
+    returns (rows, None) or (None, failure reason); one that raises fails its
+    record with the reason "<stage>: <exception>"."""
+    records = load_records(config)
+    backend = make_backend(config)
+    with closing(backend), CompletionCache(config.cache_dir) as cache:
+        out_dir = Path(config.output_dir)
+        remove_dead_temps(out_dir)
+        manifest = RunManifest(out_dir / "manifest.json", config)
+        manifest.ensure([r.id for r in records])
+
+        def run(record: corpus.QuestionRecord):
+            try:
+                return step(record, backend, cache)
+            except Exception as exc:
+                logger.exception("%s failed for %s", stage, record.id)
+                return None, f"{stage}: {exc}"
+
+        if config.workers <= 1:
+            outcomes = [run(r) for r in records]
         else:
-            manifest.mark(record.id, "failed", reason=failure)
-    manifest.save()
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                outcomes = list(pool.map(run, records))
+        path = out_dir / filename
+        write_jsonl(path, (row for rows, _ in outcomes for row in rows or ()))
+        for record, (_, failure) in zip(records, outcomes):
+            if failure is None:
+                manifest.mark(record.id, status)
+            else:
+                manifest.mark(record.id, "failed", reason=failure)
+        manifest.save()
     return path
 
 
@@ -300,31 +299,21 @@ def run_extract(config: RunConfig) -> Path:
     """Extract a semantic graph per gold paragraph; writes graphs.jsonl."""
     if config.variant is PromptVariant.BASE:
         raise UsageError("the base variant has no extraction stage")
-    records = load_records(config)
-    backend = make_backend(config)
-    demos = {kind: _demo_set(config, kind) for kind in EXTRACTION_DEMO_KINDS[config.variant]}
+    demos = {kind: prompts.demo_set(kind, config.demo_dir)
+             for kind in EXTRACTION_DEMO_KINDS[config.variant]}
 
-    def worker(record: corpus.QuestionRecord):
-        rows = []
-        try:
-            for index, paragraph in enumerate(corpus.gold_paragraphs(record)):
-                g = extract_paragraph_graph(
-                    paragraph, config.variant, demos, backend, cache, config.model_id
-                )
-                rows.append(
-                    {
-                        "question_id": record.id,
-                        "paragraph_index": index,
-                        "graph": graph_mod.graph_to_dict(g),
-                    }
-                )
-        except Exception as exc:
-            logger.exception("extraction failed for %s", record.id)
-            return None, f"extract: {exc}"
-        return rows, None
+    def step(record: corpus.QuestionRecord, backend, cache: CompletionCache):
+        return [
+            {
+                "question_id": record.id,
+                "paragraph_index": index,
+                "graph": graph_mod.graph_to_dict(extract_paragraph_graph(
+                    paragraph, config.variant, demos, backend, cache, config.model_id)),
+            }
+            for index, paragraph in enumerate(corpus.gold_paragraphs(record))
+        ], None
 
-    with closing(backend), CompletionCache(config.cache_dir) as cache:
-        return _run_stage(config, records, "graphs.jsonl", "extracted", worker)
+    return _run_stage(config, "extract", "graphs.jsonl", "extracted", step)
 
 
 def _read_graphs(path):
@@ -352,9 +341,6 @@ def load_graphs(path) -> dict[str, dict[int, graph_mod.SemanticGraph]]:
 
 def run_answer(config: RunConfig, graphs_path=None) -> Path:
     """Answer every question; writes predictions.jsonl."""
-    records = load_records(config)
-    backend = make_backend(config)
-
     needs_graphs = config.variant is not PromptVariant.BASE
     if needs_graphs:
         graphs_path = graphs_path or Path(config.output_dir) / "graphs.jsonl"
@@ -363,27 +349,22 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
         graphs_by_qid = load_graphs(graphs_path)
     elif graphs_path is not None:
         raise UsageError("the base variant takes no graphs")
+    demos = prompts.demo_set(f"qa_{config.setting.value}", config.demo_dir)
 
-    kind = "qa_cot" if config.setting is Setting.COT else "qa_fewshot"
-    demos = _demo_set(config, kind)
+    def step(record: corpus.QuestionRecord, backend, cache: CompletionCache):
+        graphs = []
+        if needs_graphs:
+            by_index = graphs_by_qid.get(record.id)
+            # Indexes are distinct and non-negative: a maximum below their
+            # count means they are exactly 0..count-1. `qa_prompt` checks the
+            # count against the gold paragraphs.
+            if not by_index or max(by_index) >= len(by_index):
+                return None, "missing graph"
+            graphs = [by_index[i] for i in range(len(by_index))]
+        return [answer_question(record, graphs, config.variant, config.setting, demos,
+                                backend, cache, config.model_id)], None
 
-    def worker(record: corpus.QuestionRecord):
-        try:
-            graphs = []
-            if needs_graphs:
-                by_index = graphs_by_qid.get(record.id)
-                if by_index is None or len(by_index) != len(corpus.gold_paragraphs(record)):
-                    return None, "missing graph"
-                graphs = [by_index[i] for i in range(len(by_index))]
-            row = answer_question(record, graphs, config.variant, config.setting, demos,
-                                  backend, cache, config.model_id)
-        except Exception as exc:
-            logger.exception("answering failed for %s", record.id)
-            return None, f"answer: {exc}"
-        return [row], None
-
-    with closing(backend), CompletionCache(config.cache_dir) as cache:
-        return _run_stage(config, records, "predictions.jsonl", "answered", worker)
+    return _run_stage(config, "answer", "predictions.jsonl", "answered", step)
 
 
 def read_predictions(paths) -> list[dict]:
@@ -526,7 +507,9 @@ def run_ground(graphs_path, records: list[corpus.QuestionRecord], output_path,
     if html_root:
         html_root.mkdir(parents=True, exist_ok=True)
         remove_dead_temps(html_root)
-    remove_dead_temps(Path(output_path).parent)
+    out_dir = Path(output_path).parent
+    out_dir.mkdir(parents=True, exist_ok=True)
+    remove_dead_temps(out_dir)
     count = 0
 
     def reports():

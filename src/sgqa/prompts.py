@@ -17,6 +17,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from pathlib import Path
 
 from .corpus import Paragraph
 from .graph import GraphVariant, SemanticGraph, serialize_graph
@@ -250,3 +251,12 @@ def default_demo_file(kind: str):
     if kind not in DEMO_KINDS:
         raise ValueError(f"unknown demonstration kind {kind!r}")
     return resources.files("sgqa").joinpath(f"fixtures/demos/{kind}.jsonl")
+
+
+def demo_set(kind: str, demo_dir="") -> list[Demonstration]:
+    """The demonstrations a run prompts with for `kind`: the first
+    `DEFAULT_QA_DEMOS` (QA kinds) or `DEFAULT_EXTRACTION_DEMOS` of
+    <demo_dir>/<kind>.jsonl, or of the packaged file when `demo_dir` is empty."""
+    path = Path(demo_dir) / f"{kind}.jsonl" if demo_dir else default_demo_file(kind)
+    count = DEFAULT_QA_DEMOS if kind.startswith("qa") else DEFAULT_EXTRACTION_DEMOS
+    return select_demos(load_demonstrations(path), kind, count)

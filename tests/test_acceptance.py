@@ -525,9 +525,11 @@ def test_criterion_9_live_sg_multi_recall_direction(tmp_path):
     dataset_path = os.environ["SGQA_2WIKI_PATH"]
     records = corpus.load_dataset(dataset_path, "2wiki")
     sampled = list(corpus.sample_splits(records, seed=9, dev_n=20, test_n=0).dev)
+    sampled_ids = {r.id for r in sampled}
+    raw = json.loads(Path(dataset_path).read_text(encoding="utf-8"))
     sample_file = tmp_path / "sample.json"
     sample_file.write_text(
-        json.dumps([corpus.record_to_dict(r) for r in sampled]), encoding="utf-8"
+        json.dumps([row for row in raw if row["_id"] in sampled_ids]), encoding="utf-8"
     )
 
     def live_config(variant, out):

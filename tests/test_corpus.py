@@ -11,7 +11,6 @@ from sgqa.corpus import (
     SplitSizeError,
     gold_paragraphs,
     load_dataset,
-    record_to_dict,
     sample_splits,
 )
 
@@ -74,7 +73,7 @@ def test_load_dataset_empty_answer_is_schema_error(tmp_path):
 
 def test_load_dataset_2wiki_ingests_evidences(tmp_path):
     """A 2Wiki file loads under either format; its `evidences` field is
-    ignored, whatever its shape, and does not come back from record_to_dict."""
+    ignored, whatever its shape."""
     raw = [
         {
             "_id": f"w{i}",
@@ -89,25 +88,15 @@ def test_load_dataset_2wiki_ingests_evidences(tmp_path):
     path = write_json(tmp_path / "wiki.json", raw)
     records = load_dataset(path, "2wiki")
     assert records == load_dataset(path, "hotpotqa")
-    assert [r.id for r in records] == ["w0", "w1"]
-    for record, row in zip(records, raw):
-        assert record_to_dict(record) == {k: v for k, v in row.items() if k != "evidences"}
+    assert records == [
+        QuestionRecord(f"w{i}", "q?", "a", (Paragraph("T", ("Some sentence.",)),),
+                       frozenset({"T"}))
+        for i in range(2)
+    ]
 
 
 def test_paragraph_text_is_sentence_concatenation(windermere_paragraph):
     assert windermere_paragraph.text == "".join(windermere_paragraph.sentences)
-
-
-def test_reserialize_round_trip(sample_dataset_path, tmp_path):
-    records = load_dataset(sample_dataset_path, "hotpotqa")
-    path = write_json(tmp_path / "again.json", [record_to_dict(r) for r in records])
-    again = load_dataset(path, "hotpotqa")
-    for a, b in zip(records, again):
-        assert (a.id, a.question, a.gold_answer) == (b.id, b.question, b.gold_answer)
-        assert a.supporting_titles == b.supporting_titles
-        assert [(p.title, p.sentences) for p in a.context] == [
-            (p.title, p.sentences) for p in b.context
-        ]
 
 
 def test_gold_paragraphs_in_context_order(hedemann_record):

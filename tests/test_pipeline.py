@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -200,6 +201,47 @@ def test_run_answer_missing_question_graph_marks_failed(tmp_path):
     assert manifest.failed() == [("e2e-07", "missing graph")]
 
 
+@pytest.mark.parametrize("renumber,reason", [
+    ({0: 0, 1: 5}, "missing graph"),
+    ({0: 0}, "answer: need one graph per paragraph: 1 graphs, 2 paragraphs"),
+], ids=["index-gap", "partial"])
+def test_run_answer_needs_graphs_at_indexes_from_zero(tmp_path, records, renumber, reason):
+    """A question's graphs must sit at paragraph indexes 0..n-1, one per gold
+    paragraph; e2e-07 has two gold paragraphs."""
+    assert len(corpus.gold_paragraphs(records[6])) == 2 and records[6].id == "e2e-07"
+    graphs_path = pipeline.run_extract(make_config(tmp_path))
+    edited = []
+    for line in graphs_path.read_text(encoding="utf-8").splitlines():
+        row = json.loads(line)
+        if row["question_id"] == "e2e-07":
+            if row["paragraph_index"] not in renumber:
+                continue
+            row["paragraph_index"] = renumber[row["paragraph_index"]]
+        edited.append(json.dumps(row) + "\n")
+    edited_path = tmp_path / "edited.jsonl"
+    edited_path.write_text("".join(edited), encoding="utf-8")
+    config = make_config(tmp_path, output_dir=str(tmp_path / "ans"))
+    rows = pipeline.read_predictions([pipeline.run_answer(config, edited_path)])
+    assert "e2e-07" not in {row["question_id"] for row in rows} and len(rows) == 9
+    assert RunManifest(tmp_path / "ans" / "manifest.json").failed() == [("e2e-07", reason)]
+
+
+def test_each_stage_warns_once_of_a_missing_supporting_title(tmp_path, caplog):
+    data = json.loads((E2E / "dataset.json").read_text(encoding="utf-8"))
+    data[2]["supporting_facts"].append(["Atlantis", 0])
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps(data), encoding="utf-8")
+    config = make_config(tmp_path, dataset_path=str(dataset))
+    for run in (pipeline.run_extract, pipeline.run_answer):
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            run(config)
+        assert [r.getMessage() for r in caplog.records if "Atlantis" in r.getMessage()] == [
+            f"question {data[2]['_id']}: supporting title 'Atlantis' not in context; skipped"
+        ]
+    assert RunManifest(Path(config.output_dir) / "manifest.json").failed() == []
+
+
 def test_end_to_end_determinism(tmp_path):
     config_a = make_config(tmp_path, output_dir=str(tmp_path / "a"))
     pipeline.run_extract(config_a)
@@ -241,7 +283,7 @@ def test_each_request_renders_through_the_prompts_module(tmp_path, monkeypatch, 
 def test_replay_run_never_loads_the_http_stack(tmp_path):
     """In a fresh interpreter, extract and answer on the replay backend leave
     the transport, http.client and ssl unimported."""
-    config = make_config(tmp_path).snapshot()
+    config = dataclasses.asdict(make_config(tmp_path))
     script = (
         "import json, sys\n"
         "from sgqa import pipeline\n"
@@ -556,7 +598,7 @@ def test_run_evaluate_report_failure_keeps_previous_files(tmp_path, records, mon
 def test_run_ground_reports(tmp_path, records):
     config = make_config(tmp_path)
     graphs_path = pipeline.run_extract(config)
-    out = tmp_path / "grounding.jsonl"
+    out = tmp_path / "ground" / "grounding.jsonl"  # its directory does not exist yet
     count = pipeline.run_ground(graphs_path, records, out, html_dir=tmp_path / "html")
     assert count == 20
     rows = [json.loads(line) for line in out.read_text().splitlines()]
