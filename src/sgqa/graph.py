@@ -1,10 +1,14 @@
-"""Semantic-graph model plus parsing/serialization of LLM extraction output.
+"""Semantic-graph model, the parsers of LLM extraction output, and the
+prompt-text and JSON forms of a graph.
 
-Graph variants:
-  * entities-only  — a bare entity list
-  * g-full         — every unordered pair of distinct entities, no relations
-  * sg-multi       — (subject, relation, object) triples from two-step prompting
-  * sg-one         — triples from single-prompt joint extraction
+Extraction completions are parsed line by line: entity lists by
+`parse_entities`, `(subject, relation, object)` lines by `parse_triples`.
+Graph variants, each built from parsed lines:
+  * g-full   — every unordered pair of distinct entities, no relations
+  * sg-multi — triples over an entity list, from two-step prompting
+  * sg-one   — triples from single-prompt joint extraction
+`serialize_graph` renders a graph into QA prompt text, which nothing parses
+back; `graph_to_dict` and `graph_from_dict` store it in graphs.jsonl.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ SECTION_MARKERS = (
 
 
 class GraphVariant(str, Enum):
-    ENTITIES_ONLY = "entities"
     G_FULL = "g-full"
     SG_MULTI = "sg-multi"
     SG_ONE = "sg-one"
@@ -107,12 +110,8 @@ class SemanticGraph:
                     f"g-full graph with {k} distinct entities needs {k * (k - 1) // 2} pairs, "
                     f"got {len(self.pairs)}"
                 )
-        elif self.variant in (GraphVariant.SG_MULTI, GraphVariant.SG_ONE):
-            if self.pairs:
-                raise ValueError(f"{self.variant.value} graphs carry triples, not pairs")
-        else:
-            if self.pairs or self.triples:
-                raise ValueError("entities-only graphs carry neither pairs nor triples")
+        elif self.pairs:
+            raise ValueError(f"{self.variant.value} graphs carry triples, not pairs")
         known = {e.text for e in self.entities}
         for pair in self.pairs:
             if pair.left.text not in known or pair.right.text not in known:
@@ -147,14 +146,6 @@ def parse_entities(raw: str) -> tuple[list[Entity], ParseReport]:
         entities.append(Entity(text))
     report = ParseReport(accepted=len(entities), rejected_lines=tuple(rejected))
     return entities, report
-
-
-def _split_fields(line: str) -> list[str] | None:
-    """Strip one layer of parentheses and split on ', '. None when the line is
-    not a '(...)' form; inner parentheses stay part of their field."""
-    if not (line.startswith("(") and line.endswith(")")):
-        return None
-    return line[1:-1].split(", ")
 
 
 def _resolve_arity(fields: list[str], known: set[str]) -> tuple[str, str, str]:
@@ -196,10 +187,11 @@ def parse_triples(
     rejected: list[tuple[int, str, str]] = []
     notes: list[str] = []
     for number, text in _candidate_lines(raw):
-        fields = _split_fields(text)
-        if fields is None:
+        if not (text.startswith("(") and text.endswith(")")):
             rejected.append((number, text, "parens"))
             continue
+        # One layer of parentheses goes; inner ones stay part of their field.
+        fields = text[1:-1].split(", ")
         if len(fields) < 3:
             rejected.append((number, text, "arity"))
             continue
@@ -219,14 +211,6 @@ def parse_triples(
         accepted=len(triples), rejected_lines=tuple(rejected), notes=tuple(notes)
     )
     return triples, report
-
-
-def entities_graph(source_title: str, entities: list[Entity]) -> SemanticGraph:
-    return SemanticGraph(
-        variant=GraphVariant.ENTITIES_ONLY,
-        entities=tuple(dict.fromkeys(entities)),
-        source_title=source_title,
-    )
 
 
 def build_full_graph(entities: list[Entity], source_title: str = "") -> SemanticGraph:
@@ -268,65 +252,13 @@ def joint_graph(source_title: str, triples: list[Triple]) -> SemanticGraph:
 
 def serialize_graph(graph: SemanticGraph) -> str:
     """Render a graph as prompt text, one element per line, in stored order."""
-    if graph.variant in (GraphVariant.SG_MULTI, GraphVariant.SG_ONE):
-        lines = [f"({t.subject.text}, {t.relation}, {t.object.text})" for t in graph.triples]
-    elif graph.variant is GraphVariant.G_FULL:
+    if graph.variant is GraphVariant.G_FULL:
         lines = [f"({p.left.text}, {p.right.text})" for p in graph.pairs]
     else:
-        lines = [e.text for e in graph.entities]
+        lines = [f"({t.subject.text}, {t.relation}, {t.object.text})" for t in graph.triples]
     if not lines:
         return ""
     return "\n".join(lines) + "\n"
-
-
-def parse_pairs(raw: str) -> tuple[list[EntityPair], ParseReport]:
-    """Parse '(left, right)' lines; used for g-full round-trips and persistence."""
-    pairs: list[EntityPair] = []
-    rejected: list[tuple[int, str, str]] = []
-    for number, text in _candidate_lines(raw):
-        fields = _split_fields(text)
-        if fields is None:
-            rejected.append((number, text, "parens"))
-            continue
-        if len(fields) != 2:
-            rejected.append((number, text, "arity"))
-            continue
-        left, right = fields[0].strip(), fields[1].strip()
-        if not left or not right:
-            rejected.append((number, text, "empty field"))
-            continue
-        if left == right:
-            rejected.append((number, text, "self-pair"))
-            continue
-        pairs.append(EntityPair(Entity(left), Entity(right)))
-    return pairs, ParseReport(accepted=len(pairs), rejected_lines=tuple(rejected))
-
-
-def parse_graph(
-    raw: str,
-    variant: GraphVariant,
-    source_title: str = "",
-    known_entities: list[Entity] | None = None,
-) -> tuple[SemanticGraph, ParseReport]:
-    """Parse serialized graph text back into a SemanticGraph of `variant`."""
-    if variant is GraphVariant.ENTITIES_ONLY:
-        entities, report = parse_entities(raw)
-        return entities_graph(source_title, entities), report
-    if variant is GraphVariant.G_FULL:
-        pairs, report = parse_pairs(raw)
-        graph = SemanticGraph(
-            variant=GraphVariant.G_FULL,
-            entities=tuple(dict.fromkeys(e for p in pairs for e in (p.left, p.right))),
-            pairs=tuple(pairs),
-            source_title=source_title,
-        )
-        return graph, report
-    triples, report = parse_triples(raw, known_entities)
-    if variant is GraphVariant.SG_MULTI:
-        graph = multi_step_graph(source_title, known_entities or [], triples)
-    else:
-        graph = joint_graph(source_title, triples)
-    return graph, report
 
 
 def graph_to_dict(graph: SemanticGraph) -> dict:

@@ -101,7 +101,13 @@ class RunManifest:
     """Per-question status ledger persisted as JSON. Statuses are recorded in
     memory and written by `ensure` and `save`; transitions only move forward
     (a failed question may be retried on a later run). The ledger lists the
-    questions of the latest `ensure`, so it describes the latest run."""
+    questions of the latest `ensure`, so it describes the latest run.
+
+    `ensure` carries each question's earlier status over. That is not a
+    resume path (resume comes from the completion cache alone): it keeps the
+    manifest in step with the outputs on disk, since a rerun that dies
+    before its end leaves the earlier run's output file and the manifest
+    written at its start."""
 
     def __init__(self, path, config: RunConfig | None = None):
         self.path = Path(path)
@@ -275,8 +281,9 @@ def _run_stage(config: RunConfig, stage: str, filename: str, status: str, step) 
         def run(record: corpus.QuestionRecord):
             try:
                 return step(record, backend, cache)
-            except Exception as exc:
-                logger.exception("%s failed for %s", stage, record.id)
+            except Exception as exc:  # the traceback only under -v
+                logger.warning("%s failed for %s: %s", stage, record.id, exc,
+                               exc_info=logger.isEnabledFor(logging.DEBUG))
                 return None, f"{stage}: {exc}"
 
         if config.workers <= 1:
@@ -317,9 +324,9 @@ def run_extract(config: RunConfig) -> Path:
 
 
 def _read_graphs(path):
-    """Yield (question id, paragraph index, graph) for each row of a graphs
-    file. Besides what `read_rows` rejects, a negative paragraph index or a
-    malformed graph object is rejected naming its file and line."""
+    """Yield (line number, question id, paragraph index, graph) for each row
+    of a graphs file. Besides what `read_rows` rejects, a negative paragraph
+    index or a malformed graph object is rejected naming its file and line."""
     for _, line_no, row in read_rows([path], GRAPH_FIELDS, "(question_id, paragraph_index)",
                                      itemgetter("question_id", "paragraph_index")):
         index = row["paragraph_index"]
@@ -329,12 +336,12 @@ def _read_graphs(path):
             graph = graph_mod.graph_from_dict(row["graph"])
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: graph: {exc}") from exc
-        yield row["question_id"], index, graph
+        yield line_no, row["question_id"], index, graph
 
 
 def load_graphs(path) -> dict[str, dict[int, graph_mod.SemanticGraph]]:
     graphs: dict[str, dict[int, graph_mod.SemanticGraph]] = {}
-    for question_id, index, graph in _read_graphs(path):
+    for _, question_id, index, graph in _read_graphs(path):
         graphs.setdefault(question_id, {})[index] = graph
     return graphs
 
@@ -501,8 +508,10 @@ def run_evaluate(
 def run_ground(graphs_path, records: list[corpus.QuestionRecord], output_path,
                html_dir=None) -> int:
     """Ground every stored graph against its source paragraph; returns the
-    number of reports written."""
+    number of reports written. A graph whose source title is not its
+    paragraph's stops the stage, naming its file and line."""
     by_id = {r.id: r for r in records}
+    gold: dict[str, list[corpus.Paragraph]] = {}  # looked up once per question
     html_root = Path(html_dir) if html_dir else None
     if html_root:
         html_root.mkdir(parents=True, exist_ok=True)
@@ -514,17 +523,22 @@ def run_ground(graphs_path, records: list[corpus.QuestionRecord], output_path,
 
     def reports():
         nonlocal count
-        for question_id, index, g in _read_graphs(graphs_path):
+        for line_no, question_id, index, g in _read_graphs(graphs_path):
             record = by_id.get(question_id)
             if record is None:
                 logger.warning("graph for unknown question id %r skipped", question_id)
                 continue
-            paragraphs = corpus.gold_paragraphs(record)
+            if question_id not in gold:
+                gold[question_id] = corpus.gold_paragraphs(record)
+            paragraphs = gold[question_id]
             if index >= len(paragraphs):
                 logger.warning("graph index %d out of range for %s", index, record.id)
                 continue
             paragraph = paragraphs[index]
-            report = grounding.grounding_report(g, paragraph)
+            try:
+                report = grounding.grounding_report(g, paragraph)
+            except ValueError as exc:
+                raise ValueError(f"{graphs_path}:{line_no}: {exc}") from exc
             yield {
                 "question_id": record.id,
                 "paragraph_index": index,

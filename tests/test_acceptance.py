@@ -22,10 +22,11 @@ from sgqa.graph import (
     GraphVariant,
     Triple,
     build_full_graph,
-    entities_graph,
+    graph_from_dict,
+    graph_to_dict,
     joint_graph,
     multi_step_graph,
-    parse_graph,
+    parse_entities,
     parse_triples,
     serialize_graph,
 )
@@ -324,13 +325,6 @@ def _random_text(rng):
 def _random_graph(rng):
     variant = rng.choice(list(GraphVariant))
     title = _random_text(rng)
-    if variant is GraphVariant.ENTITIES_ONLY:
-        texts = []
-        while len(texts) < rng.randint(1, 6):
-            t = _random_text(rng)
-            if t not in texts:
-                texts.append(t)
-        return entities_graph(title, [Entity(t) for t in texts])
     if variant is GraphVariant.G_FULL:
         texts = []
         while len(texts) < rng.randint(2, 6):
@@ -347,16 +341,29 @@ def _random_graph(rng):
     return multi_step_graph(title, [Entity(_random_text(rng))], triples)
 
 
+def _rebuilt(graph):
+    """The graph that extraction builds from `graph`'s own entity lines (the
+    entity step's completion) and triple lines (the relation or joint step's
+    completion), asserting that no line is rejected."""
+    entities, report = parse_entities("".join(f"{e.text}\n" for e in graph.entities))
+    assert report.rejected_lines == ()
+    if graph.variant is GraphVariant.G_FULL:
+        return build_full_graph(entities, source_title=graph.source_title)
+    known = entities if graph.variant is GraphVariant.SG_MULTI else None
+    triples, report = parse_triples(serialize_graph(graph), known_entities=known)
+    assert report.rejected_lines == ()
+    if known is None:
+        return joint_graph(graph.source_title, triples)
+    return multi_step_graph(graph.source_title, entities, triples)
+
+
 def test_criterion_5_parser_properties():
     rng = random.Random(505)
     for _ in range(1000):
         graph = _random_graph(rng)
-        known = list(graph.entities) if graph.variant is GraphVariant.SG_MULTI else None
-        parsed, parse_report = parse_graph(
-            serialize_graph(graph), graph.variant, graph.source_title, known_entities=known
-        )
-        assert parsed == graph
-        assert parse_report.rejected_lines == ()
+        assert _rebuilt(graph) == graph
+        # a graphs.jsonl row's graph object
+        assert graph_from_dict(json.loads(json.dumps(graph_to_dict(graph)))) == graph
 
     # the comma-bearing entity resolves when the entity anchor is provided
     known = [Entity("Prince Robert, Duke of Chartres"), Entity("Princess Anne")]
@@ -371,7 +378,8 @@ def test_criterion_5_parser_properties():
     for k in range(51):
         graph = build_full_graph([Entity(f"entity {i}") for i in range(k)])
         assert len(graph.pairs) == k * (k - 1) // 2
-    report("criterion-5", "(1000 round-trips, comma anchor case, g-full sizes 0..50)")
+    report("criterion-5", "(1000 graphs through their entity and triple lines and "
+                          "graphs.jsonl objects, comma anchor case, g-full sizes 0..50)")
 
 
 # ---------------------------------------------------------------------------

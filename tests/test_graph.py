@@ -8,19 +8,16 @@ from sgqa.graph import (
     SemanticGraph,
     Triple,
     build_full_graph,
-    entities_graph,
     graph_from_dict,
     graph_to_dict,
     joint_graph,
     multi_step_graph,
     parse_entities,
-    parse_graph,
-    parse_pairs,
     parse_triples,
     serialize_graph,
 )
 
-# Texts that survive a serialize/parse cycle: no commas, newlines, or ': '
+# Texts that survive a line render/parse cycle: no commas, newlines, or ': '
 # section markers, trimmed and nonempty.
 element_text = st.text(
     alphabet="abcdefghijkKLMNOP0123456789 -'()",
@@ -195,7 +192,8 @@ def test_serialize_triple_line():
 
 
 def test_serialize_empty_graph():
-    assert serialize_graph(entities_graph("T", [])) == ""
+    assert serialize_graph(multi_step_graph("T", [Entity("A")], [])) == ""
+    assert serialize_graph(build_full_graph([Entity("A")])) == ""
 
 
 def test_serialize_gfull_pairs():
@@ -203,31 +201,20 @@ def test_serialize_gfull_pairs():
     assert serialize_graph(graph) == "(A, B)\n"
 
 
-def test_serialize_entities_only():
-    graph = entities_graph("T", [Entity("A"), Entity("B")])
-    assert serialize_graph(graph) == "A\nB\n"
-
-
-def test_parse_pairs_rejects_self_pair():
-    pairs, report = parse_pairs("(A, A)\n(A, B)")
-    assert len(pairs) == 1
-    assert report.rejected_lines[0][2] == "self-pair"
-
-
 # ---------------------------------------------------------------- round trips
+# The graph built from a graph's own entity or triple lines, as extraction
+# builds it from a completion, is that graph.
 
-@given(st.lists(element_text, min_size=1, max_size=8, unique=True))
-def test_round_trip_entities_only(texts):
-    graph = entities_graph("T", [Entity(t) for t in texts])
-    parsed, _ = parse_graph(serialize_graph(graph), GraphVariant.ENTITIES_ONLY, "T")
-    assert parsed == graph
+def entity_lines(graph: SemanticGraph) -> str:
+    return "".join(f"{e.text}\n" for e in graph.entities)
 
 
 @given(st.lists(element_text, min_size=2, max_size=6, unique=True))
 def test_round_trip_gfull(texts):
     graph = build_full_graph([Entity(t) for t in texts], source_title="T")
-    parsed, _ = parse_graph(serialize_graph(graph), GraphVariant.G_FULL, "T")
-    assert parsed == graph
+    entities, report = parse_entities(entity_lines(graph))
+    assert build_full_graph(entities, source_title="T") == graph
+    assert report.rejected_lines == ()
 
 
 comma_free = element_text.filter(lambda s: "," not in s)
@@ -243,19 +230,19 @@ comma_free = element_text.filter(lambda s: "," not in s)
 def test_round_trip_sg_one(raw_triples):
     triples = [Triple(Entity(s), r, Entity(o)) for s, r, o in raw_triples]
     graph = joint_graph("T", triples)
-    parsed, _ = parse_graph(serialize_graph(graph), GraphVariant.SG_ONE, "T")
-    assert parsed == graph
+    parsed, report = parse_triples(serialize_graph(graph))
+    assert joint_graph("T", parsed) == graph
+    assert report.rejected_lines == ()
 
 
 def test_round_trip_sg_multi_with_known_entities():
     entities = [Entity("Prince Robert, Duke of Chartres"), Entity("Princess Anne")]
     triples = [Triple(entities[0], "grandfather of", entities[1])]
     graph = multi_step_graph("T", entities, triples)
-    parsed, _ = parse_graph(
-        serialize_graph(graph), GraphVariant.SG_MULTI, "T",
-        known_entities=list(graph.entities),
-    )
-    assert parsed == graph
+    known, _ = parse_entities(entity_lines(graph))
+    parsed, report = parse_triples(serialize_graph(graph), known_entities=known)
+    assert multi_step_graph("T", known, parsed) == graph
+    assert report.rejected_lines == ()
 
 
 # ---------------------------------------------------------------- persistence
@@ -298,5 +285,5 @@ def test_graph_from_dict_rejects_malformed_object(data, error):
 
 
 def test_graph_from_dict_reads_absent_pairs_and_triples_as_empty():
-    data = {"source_title": "T", "variant": "entities", "entities": ["a", "b"]}
-    assert graph_from_dict(data) == entities_graph("T", [Entity("a"), Entity("b")])
+    data = {"source_title": "T", "variant": "sg-multi", "entities": ["a", "b"]}
+    assert graph_from_dict(data) == multi_step_graph("T", [Entity("a"), Entity("b")], [])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sgqa.corpus import Paragraph
-from sgqa.graph import Entity, Triple, entities_graph, multi_step_graph
+from sgqa.graph import Entity, Triple, multi_step_graph
 from sgqa.grounding import (
     _ground_in,
     _normalize_with_offsets,
@@ -89,7 +89,7 @@ def test_grounding_report_all_verbatim(alder_graph, alder_paragraph):
 
 
 def test_grounding_report_empty_graph(alder_paragraph):
-    report = grounding_report(entities_graph(alder_paragraph.title, []), alder_paragraph)
+    report = grounding_report(multi_step_graph(alder_paragraph.title, [], []), alder_paragraph)
     assert report.grounding_rate == 1.0
     assert report.per_element == ()
     assert report.relation_rate is None
@@ -151,7 +151,7 @@ def test_render_html_nested_spans_log_no_warning(alder_graph, alder_paragraph, c
 
 def test_render_html_single_entity_marker():
     paragraph = Paragraph("T", ("Manchester is a city.",))
-    graph = entities_graph("T", [Entity("Manchester")])
+    graph = multi_step_graph("T", [Entity("Manchester")], [])
     report = grounding_report(graph, paragraph)
     page = render_highlights(paragraph, report)
     assert page.count('<mark class="entity">') == 1
@@ -160,7 +160,7 @@ def test_render_html_single_entity_marker():
 
 def test_render_html_empty_report_escapes_text():
     paragraph = Paragraph("T", ("Fish & chips < mushy peas.",))
-    report = grounding_report(entities_graph("T", []), paragraph)
+    report = grounding_report(multi_step_graph("T", [], []), paragraph)
     page = render_highlights(paragraph, report)
     assert "Fish &amp; chips &lt; mushy peas." in page
     assert "<mark" not in page

@@ -232,7 +232,7 @@ def test_each_stage_warns_once_of_a_missing_supporting_title(tmp_path, caplog):
     dataset = tmp_path / "dataset.json"
     dataset.write_text(json.dumps(data), encoding="utf-8")
     config = make_config(tmp_path, dataset_path=str(dataset))
-    for run in (pipeline.run_extract, pipeline.run_answer):
+    for run in (pipeline.run_extract, pipeline.run_answer, ground):
         caplog.clear()
         with caplog.at_level("WARNING"):
             run(config)
@@ -240,6 +240,24 @@ def test_each_stage_warns_once_of_a_missing_supporting_title(tmp_path, caplog):
             f"question {data[2]['_id']}: supporting title 'Atlantis' not in context; skipped"
         ]
     assert RunManifest(Path(config.output_dir) / "manifest.json").failed() == []
+
+
+def test_failed_question_logs_one_warning_and_its_traceback_at_debug(tmp_path, caplog):
+    replay = tmp_path / "empty.jsonl"
+    replay.write_text("", encoding="utf-8")
+    config = make_config(tmp_path, variant="base", replay_file=str(replay))
+    for level, traced in (("WARNING", False), ("DEBUG", True)):
+        caplog.clear()
+        with caplog.at_level(level, logger="sgqa.pipeline"):
+            pipeline.run_answer(config)
+        failed = RunManifest(Path(config.output_dir) / "manifest.json").failed()
+        assert len(failed) == 10 and all("no replay fixture" in why for _, why in failed)
+        records = [r for r in caplog.records if r.name == "sgqa.pipeline"]
+        assert [(r.levelname, r.getMessage()) for r in records] == [
+            ("WARNING", f"answer failed for {qid}: {why.removeprefix('answer: ')}")
+            for qid, why in failed
+        ]
+        assert all(bool(r.exc_info) is traced for r in records)
 
 
 def test_end_to_end_determinism(tmp_path):
@@ -925,6 +943,9 @@ BAD_GRAPH_ROWS = {
         "graph: field 'triples' must be an array of arrays of 3 strings"),
     "negative index": (lambda row: {**row, "paragraph_index": -1},
                        "negative paragraph_index -1"),
+    "entities-only graph": (
+        lambda row: {**row, "graph": {**row["graph"], "variant": "entities", "triples": []}},
+        "graph: 'entities' is not a valid GraphVariant"),
 }
 
 
@@ -945,6 +966,24 @@ def test_cli_names_malformed_graph_row(tmp_path, capsys, graph_row, command, cas
     assert run_cli(args) == 2
     assert f"error: {graphs}:1: {error}" in capsys.readouterr().err
     assert not (out / "grounding.jsonl").exists() and not (out / "predictions.jsonl").exists()
+
+
+def test_cli_ground_names_graph_row_for_another_paragraph(tmp_path, capsys, graph_row):
+    title = graph_row["graph"]["source_title"]
+    elsewhere = {**graph_row, "paragraph_index": 1,
+                 "graph": {**graph_row["graph"], "source_title": "Elsewhere"}}
+    graphs = tmp_path / "graphs.jsonl"
+    graphs.write_text(json.dumps(graph_row) + "\n" + json.dumps(elsewhere) + "\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    paragraph = corpus.gold_paragraphs(corpus.load_dataset(E2E / "dataset.json")[0])[1]
+    assert run_cli(["ground", "--dataset", E2E / "dataset.json", "--graphs", graphs,
+                    "--output-dir", out, "--html"]) == 2
+    assert (f"error: {graphs}:2: graph is for 'Elsewhere', paragraph is {paragraph.title!r}"
+            in capsys.readouterr().err)
+    assert title != paragraph.title
+    assert [p.name for p in (out / "html").iterdir()] == [f"{graph_row['question_id']}_0.html"]
+    assert not (out / "grounding.jsonl").exists()
 
 
 def test_cli_answer_names_replay_row_without_text(tmp_path, capsys):
