@@ -91,7 +91,6 @@ class QuestionRecord:
 class Split:
     dev: tuple[QuestionRecord, ...]
     test: tuple[QuestionRecord, ...]
-    seed: int
 
 
 def _require(raw: dict, index: int, field_name: str):
@@ -326,5 +325,4 @@ def sample_splits(
     return Split(
         dev=tuple(shuffled[:dev_n]),
         test=tuple(shuffled[dev_n : dev_n + test_n]),
-        seed=seed,
     )

@@ -3,8 +3,10 @@ prompt-text and JSON forms of a graph.
 
 Extraction completions are parsed line by line: entity lists by
 `parse_entities`, `(subject, relation, object)` lines by `parse_triples`.
-Graph variants, each built from parsed lines:
-  * g-full   — every unordered pair of distinct entities, no relations
+A graph's variant is the `PromptVariant` whose extraction built it, never
+base. Graph variants, each built from parsed lines:
+  * g-full   — distinct entities, no relations; its pairs, every unordered
+               pair of entities, are derived from the entity list
   * sg-multi — triples over an entity list, from two-step prompting
   * sg-one   — triples from single-prompt joint extraction
 `serialize_graph` renders a graph into QA prompt text, which nothing parses
@@ -32,7 +34,8 @@ SECTION_MARKERS = (
 )
 
 
-class GraphVariant(str, Enum):
+class PromptVariant(str, Enum):
+    BASE = "base"
     G_FULL = "g-full"
     SG_MULTI = "sg-multi"
     SG_ONE = "sg-one"
@@ -69,56 +72,41 @@ class Triple:
 
 
 @dataclass(frozen=True)
-class EntityPair:
-    left: Entity
-    right: Entity
-
-    def __post_init__(self):
-        if self.left.text == self.right.text:
-            raise ValueError(f"pair endpoints must differ: {self.left.text!r}")
-
-
-@dataclass(frozen=True)
 class ParseReport:
     """Accounting for one parse: accepted + rejected lines cover every nonblank
-    candidate line; notes carry informational observations only."""
+    candidate line."""
 
     accepted: int
     rejected_lines: tuple[tuple[int, str, str], ...] = ()
-    notes: tuple[str, ...] = ()
-
-    @property
-    def candidate_lines(self) -> int:
-        return self.accepted + len(self.rejected_lines)
 
 
 @dataclass(frozen=True)
 class SemanticGraph:
-    variant: GraphVariant
+    variant: PromptVariant
     entities: tuple[Entity, ...]
-    pairs: tuple[EntityPair, ...] = ()
     triples: tuple[Triple, ...] = ()
     source_title: str = ""
 
     def __post_init__(self):
-        if self.variant is GraphVariant.G_FULL:
+        if self.variant is PromptVariant.BASE:
+            raise ValueError("a graph's variant is never base")
+        if self.variant is PromptVariant.G_FULL:
             if self.triples:
                 raise ValueError("g-full graphs carry pairs, not triples")
-            k = len({e.text for e in self.entities})
-            if len(self.pairs) != k * (k - 1) // 2:
-                raise ValueError(
-                    f"g-full graph with {k} distinct entities needs {k * (k - 1) // 2} pairs, "
-                    f"got {len(self.pairs)}"
-                )
-        elif self.pairs:
-            raise ValueError(f"{self.variant.value} graphs carry triples, not pairs")
+            if len(set(self.entities)) != len(self.entities):
+                raise ValueError("g-full graph entities must be distinct")
         known = {e.text for e in self.entities}
-        for pair in self.pairs:
-            if pair.left.text not in known or pair.right.text not in known:
-                raise ValueError(f"pair endpoint missing from entity list: {pair}")
         for triple in self.triples:
             if triple.subject.text not in known or triple.object.text not in known:
                 raise ValueError(f"triple endpoint missing from entity list: {triple}")
+
+    @property
+    def pairs(self) -> tuple[tuple[Entity, Entity], ...]:
+        """A g-full graph's every unordered pair of entities, in entity order;
+        none for another variant."""
+        if self.variant is PromptVariant.G_FULL:
+            return tuple(itertools.combinations(self.entities, 2))
+        return ()
 
 
 def _candidate_lines(raw: str):
@@ -185,7 +173,6 @@ def parse_triples(
     known = {e.text for e in known_entities} if known_entities else set()
     triples: list[Triple] = []
     rejected: list[tuple[int, str, str]] = []
-    notes: list[str] = []
     for number, text in _candidate_lines(raw):
         if not (text.startswith("(") and text.endswith(")")):
             rejected.append((number, text, "parens"))
@@ -203,25 +190,16 @@ def parse_triples(
         if not subject or not relation or not obj:
             rejected.append((number, text, "empty field"))
             continue
-        for endpoint in (subject, obj):
-            if known and endpoint not in known:
-                notes.append(f"unanchored endpoint: {endpoint!r} (line {number})")
         triples.append(Triple(Entity(subject), relation, Entity(obj)))
-    report = ParseReport(
-        accepted=len(triples), rejected_lines=tuple(rejected), notes=tuple(notes)
-    )
-    return triples, report
+    return triples, ParseReport(accepted=len(triples), rejected_lines=tuple(rejected))
 
 
 def build_full_graph(entities: list[Entity], source_title: str = "") -> SemanticGraph:
-    """Fully connected graph: all unordered pairs of distinct entities in
-    listing order, k·(k−1)/2 of them."""
-    distinct = tuple(dict.fromkeys(entities))
-    pairs = tuple(EntityPair(a, b) for a, b in itertools.combinations(distinct, 2))
+    """Fully connected graph over the distinct entities in listing order; its
+    k·(k−1)/2 pairs are derived from them."""
     return SemanticGraph(
-        variant=GraphVariant.G_FULL,
-        entities=distinct,
-        pairs=pairs,
+        variant=PromptVariant.G_FULL,
+        entities=tuple(dict.fromkeys(entities)),
         source_title=source_title,
     )
 
@@ -232,7 +210,7 @@ def multi_step_graph(
     """SG-Multi graph; endpoints missing from the extracted entity list are
     appended so the graph stays self-contained."""
     return SemanticGraph(
-        variant=GraphVariant.SG_MULTI,
+        variant=PromptVariant.SG_MULTI,
         entities=tuple(dict.fromkeys(
             [*entities, *(e for t in triples for e in (t.subject, t.object))])),
         triples=tuple(triples),
@@ -243,7 +221,7 @@ def multi_step_graph(
 def joint_graph(source_title: str, triples: list[Triple]) -> SemanticGraph:
     """SG-One graph; entities are the triple endpoints in appearance order."""
     return SemanticGraph(
-        variant=GraphVariant.SG_ONE,
+        variant=PromptVariant.SG_ONE,
         entities=tuple(dict.fromkeys(e for t in triples for e in (t.subject, t.object))),
         triples=tuple(triples),
         source_title=source_title,
@@ -252,8 +230,8 @@ def joint_graph(source_title: str, triples: list[Triple]) -> SemanticGraph:
 
 def serialize_graph(graph: SemanticGraph) -> str:
     """Render a graph as prompt text, one element per line, in stored order."""
-    if graph.variant is GraphVariant.G_FULL:
-        lines = [f"({p.left.text}, {p.right.text})" for p in graph.pairs]
+    if graph.variant is PromptVariant.G_FULL:
+        lines = [f"({a.text}, {b.text})" for a, b in graph.pairs]
     else:
         lines = [f"({t.subject.text}, {t.relation}, {t.object.text})" for t in graph.triples]
     if not lines:
@@ -267,7 +245,7 @@ def graph_to_dict(graph: SemanticGraph) -> dict:
         "source_title": graph.source_title,
         "variant": graph.variant.value,
         "entities": [e.text for e in graph.entities],
-        "pairs": [[p.left.text, p.right.text] for p in graph.pairs],
+        "pairs": [[a.text, b.text] for a, b in graph.pairs],
         "triples": [[t.subject.text, t.relation, t.object.text] for t in graph.triples],
     }
 
@@ -286,22 +264,26 @@ def _is_table(rows, width: int) -> bool:
 
 def graph_from_dict(data: dict) -> SemanticGraph:
     """The graph of a `graph_to_dict` object, whose pairs and triples may be
-    absent. A malformed object raises ValueError saying what is wrong."""
+    absent. A malformed object raises ValueError saying what is wrong; pairs,
+    if present, must be the graph's derived ones."""
     fault = row_fault(data, _GRAPH_FIELDS)
     if fault is None:
-        pairs, triples = data.get("pairs", []), data.get("triples", [])
+        triples = data.get("triples", [])
         if not _STR_ONLY.issuperset(map(type, data["entities"])):
             fault = "field 'entities' must be an array of strings"
-        elif not _is_table(pairs, 2):
-            fault = "field 'pairs' must be an array of arrays of 2 strings"
         elif not _is_table(triples, 3):
             fault = "field 'triples' must be an array of arrays of 3 strings"
     if fault is not None:
         raise ValueError(fault)
-    return SemanticGraph(
-        variant=GraphVariant(data["variant"]),
+    graph = SemanticGraph(
+        variant=PromptVariant(data["variant"]),
         entities=tuple(Entity(t) for t in data["entities"]),
-        pairs=tuple(EntityPair(Entity(l), Entity(r)) for l, r in pairs),
         triples=tuple(Triple(Entity(s), rel, Entity(o)) for s, rel, o in triples),
         source_title=data["source_title"],
     )
+    if "pairs" in data and data["pairs"] != [[a.text, b.text] for a, b in graph.pairs]:
+        raise ValueError(
+            "field 'pairs' must list every pair of the entities, in entity order"
+            if graph.variant is PromptVariant.G_FULL else
+            f"field 'pairs' must be empty for {graph.variant.value} graphs")
+    return graph

@@ -174,7 +174,7 @@ class HTTPBackend:
     bearer token from the SGQA_API_KEY environment variable, and reads
     choices[0].text (falling back to a top-level "text"). Makes up to
     RETRY_ATTEMPTS attempts on network errors, 429 and 5xx responses; other
-    4xx responses and a 200 body without the text fail at once. Before a
+    4xx responses and a 200 body without a string text fail at once. Before a
     retry it waits the seconds a 429 or 503 response's Retry-After header
     asks for (RFC 9110 §10.2.3), or else a full-jitter exponential backoff,
     uniform(0, RETRY_BASE_DELAY * 2**attempt). A Retry-After above
@@ -226,13 +226,16 @@ class HTTPBackend:
                 else:
                     data = response.json()
                     try:
-                        return data["choices"][0]["text"] if "choices" in data else data["text"]
+                        text = data["choices"][0]["text"] if "choices" in data else data["text"]
                     except (KeyError, IndexError, TypeError):
-                        # a well-formed reply that lacks the field will not gain it on retry
+                        text = None
+                    if not isinstance(text, str):
+                        # a well-formed reply without a string text will not gain one on retry
                         raise BackendError(
-                            "HTTP 200 body has neither choices[0].text nor text: "
+                            "HTTP 200 body has neither choices[0].text nor text as a string: "
                             f"{response.text[:200]}"
-                        ) from None
+                        )
+                    return text
             except BackendError:
                 raise
             except Exception as exc:  # network / timeout / bad JSON

@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import Paragraph
-from .graph import GraphVariant, SemanticGraph, serialize_graph
+from .graph import PromptVariant, SemanticGraph, serialize_graph
 from .jsonl import read_rows
 
 logger = logging.getLogger(__name__)
@@ -47,21 +47,6 @@ DEFAULT_QA_DEMOS = 2
 class Setting(str, Enum):
     COT = "cot"
     FEWSHOT = "fewshot"
-
-
-class PromptVariant(str, Enum):
-    BASE = "base"
-    G_FULL = "g-full"
-    SG_MULTI = "sg-multi"
-    SG_ONE = "sg-one"
-
-
-# Prompt variants that carry a graph, and the graph variant each expects.
-GRAPH_FOR_VARIANT = {
-    PromptVariant.G_FULL: GraphVariant.G_FULL,
-    PromptVariant.SG_MULTI: GraphVariant.SG_MULTI,
-    PromptVariant.SG_ONE: GraphVariant.SG_ONE,
-}
 
 
 class ConfigurationError(ValueError):
@@ -193,15 +178,14 @@ def qa_prompt(
             raise AssemblyError(
                 f"need one graph per paragraph: {len(graphs)} graphs, {len(paragraphs)} paragraphs"
             )
-        expected = GRAPH_FOR_VARIANT[variant]
         for paragraph, graph in zip(paragraphs, graphs):
             if graph.source_title != paragraph.title:
                 raise AssemblyError(
                     f"graph for {graph.source_title!r} paired with paragraph {paragraph.title!r}"
                 )
-            if graph.variant is not expected:
+            if graph.variant is not variant:
                 raise AssemblyError(
-                    f"variant {variant.value} expects {expected.value} graphs, got {graph.variant.value}"
+                    f"variant {variant.value} expects {variant.value} graphs, got {graph.variant.value}"
                 )
 
     sections = []

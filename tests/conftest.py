@@ -5,6 +5,13 @@ import pytest
 from sgqa.corpus import Paragraph, QuestionRecord
 
 
+def pytest_configure(config):
+    """A socket or file left open fails the run: the ResourceWarning raised
+    when it is garbage-collected becomes an error."""
+    config.addinivalue_line("filterwarnings", "error::ResourceWarning")
+    config.addinivalue_line("filterwarnings", "error::pytest.PytestUnraisableExceptionWarning")
+
+
 @pytest.fixture
 def windermere_paragraph():
     return Paragraph(

@@ -19,7 +19,6 @@ import pytest
 from sgqa import corpus, pipeline, prompts
 from sgqa.graph import (
     Entity,
-    GraphVariant,
     Triple,
     build_full_graph,
     graph_from_dict,
@@ -323,9 +322,9 @@ def _random_text(rng):
 
 
 def _random_graph(rng):
-    variant = rng.choice(list(GraphVariant))
+    variant = rng.choice([v for v in PromptVariant if v is not PromptVariant.BASE])
     title = _random_text(rng)
-    if variant is GraphVariant.G_FULL:
+    if variant is PromptVariant.G_FULL:
         texts = []
         while len(texts) < rng.randint(2, 6):
             t = _random_text(rng)
@@ -336,7 +335,7 @@ def _random_graph(rng):
         Triple(Entity(_random_text(rng)), _random_text(rng), Entity(_random_text(rng)))
         for _ in range(rng.randint(1, 5))
     ]
-    if variant is GraphVariant.SG_ONE:
+    if variant is PromptVariant.SG_ONE:
         return joint_graph(title, triples)
     return multi_step_graph(title, [Entity(_random_text(rng))], triples)
 
@@ -347,9 +346,9 @@ def _rebuilt(graph):
     completion), asserting that no line is rejected."""
     entities, report = parse_entities("".join(f"{e.text}\n" for e in graph.entities))
     assert report.rejected_lines == ()
-    if graph.variant is GraphVariant.G_FULL:
+    if graph.variant is PromptVariant.G_FULL:
         return build_full_graph(entities, source_title=graph.source_title)
-    known = entities if graph.variant is GraphVariant.SG_MULTI else None
+    known = entities if graph.variant is PromptVariant.SG_MULTI else None
     triples, report = parse_triples(serialize_graph(graph), known_entities=known)
     assert report.rejected_lines == ()
     if known is None:

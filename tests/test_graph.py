@@ -3,8 +3,7 @@ from hypothesis import given, strategies as st
 
 from sgqa.graph import (
     Entity,
-    EntityPair,
-    GraphVariant,
+    PromptVariant,
     SemanticGraph,
     Triple,
     build_full_graph,
@@ -46,14 +45,14 @@ def test_parse_entities_dedupes_preserving_first():
     assert [e.text for e in entities] == ["A", "B"]
     assert report.accepted == 2
     assert report.rejected_lines == ((2, "A", "duplicate"),)
-    assert report.candidate_lines == 3
+    assert report.accepted + len(report.rejected_lines) == 3
 
 
 def test_parse_entities_stops_at_section_marker():
     raw = "Alpha\nBeta\n\nDocument:\nWikipedia Title: Next\nGamma"
     entities, report = parse_entities(raw)
     assert [e.text for e in entities] == ["Alpha", "Beta"]
-    assert report.candidate_lines == 2
+    assert report.accepted + len(report.rejected_lines) == 2
 
 
 def test_parse_entities_strips_whitespace():
@@ -114,13 +113,6 @@ def test_parse_triples_rejects_missing_parens():
     assert report.rejected_lines[0][2] == "parens"
 
 
-def test_parse_triples_notes_unanchored_endpoints():
-    known = [Entity("A")]
-    triples, report = parse_triples("(A, rel, Brand New)", known_entities=known)
-    assert len(triples) == 1
-    assert any("Brand New" in note for note in report.notes)
-
-
 def test_parse_triples_fields_are_substrings_of_source():
     line = "(Alpha Beta, relates to, Gamma, Delta)"
     triples, _ = parse_triples(line)
@@ -134,14 +126,14 @@ def test_parse_report_accounting():
     triples, report = parse_triples(raw)
     assert report.accepted == len(triples) == 2
     assert len(report.rejected_lines) == 2
-    assert report.candidate_lines == 4
+    assert report.accepted + len(report.rejected_lines) == 4
 
 
 # ---------------------------------------------------------------- graphs
 
 def test_build_full_graph_k3():
     graph = build_full_graph([Entity("A"), Entity("B"), Entity("C")])
-    assert [(p.left.text, p.right.text) for p in graph.pairs] == [
+    assert [(a.text, b.text) for a, b in graph.pairs] == [
         ("A", "B"), ("A", "C"), ("B", "C"),
     ]
 
@@ -155,24 +147,18 @@ def test_build_full_graph_sizes(k, expected):
 def test_full_graph_no_self_or_duplicate_pairs():
     graph = build_full_graph([Entity(f"e{i}") for i in range(8)])
     seen = set()
-    for pair in graph.pairs:
-        key = frozenset((pair.left.text, pair.right.text))
+    for a, b in graph.pairs:
+        key = frozenset((a.text, b.text))
         assert len(key) == 2
         assert key not in seen
         seen.add(key)
 
 
-def test_entity_pair_rejects_self_pair():
-    with pytest.raises(ValueError):
-        EntityPair(Entity("A"), Entity("A"))
-
-
-def test_semantic_graph_validates_gfull_pair_count():
-    with pytest.raises(ValueError, match="pairs"):
+def test_semantic_graph_requires_distinct_gfull_entities():
+    with pytest.raises(ValueError, match="g-full graph entities must be distinct"):
         SemanticGraph(
-            variant=GraphVariant.G_FULL,
-            entities=(Entity("A"), Entity("B"), Entity("C")),
-            pairs=(EntityPair(Entity("A"), Entity("B")),),
+            variant=PromptVariant.G_FULL,
+            entities=(Entity("A"), Entity("B"), Entity("A")),
         )
 
 
@@ -263,6 +249,8 @@ def test_graph_dict_round_trip_gfull():
 
 GRAPH = {"source_title": "T", "variant": "sg-one", "entities": ["a", "b"],
          "pairs": [], "triples": [["a", "r", "b"]]}
+GFULL = {"source_title": "T", "variant": "g-full", "entities": ["a", "b", "c"],
+         "pairs": [["a", "b"], ["a", "c"], ["b", "c"]], "triples": []}
 
 
 @pytest.mark.parametrize("data,error", [
@@ -274,10 +262,22 @@ GRAPH = {"source_title": "T", "variant": "sg-one", "entities": ["a", "b"],
     ({**GRAPH, "triples": ["a, r, b"]},
      "field 'triples' must be an array of arrays of 3 strings"),
     ({**GRAPH, "variant": "g-full", "triples": [], "pairs": [["a", 1]]},
-     "field 'pairs' must be an array of arrays of 2 strings"),
-    ({**GRAPH, "variant": "tree"}, "'tree' is not a valid GraphVariant"),
+     "field 'pairs' must list every pair of the entities, in entity order"),
+    ({**GRAPH, "variant": "tree"}, "'tree' is not a valid PromptVariant"),
+    ({**GFULL, "pairs": [["a", "b"], ["a", "b"], ["a", "c"]]},
+     "field 'pairs' must list every pair of the entities, in entity order"),
+    ({**GFULL, "pairs": [["a", "b"], ["a", "c"]]},
+     "field 'pairs' must list every pair of the entities, in entity order"),
+    ({**GFULL, "pairs": [["a", "b"], ["a", "c"], ["c", "b"]]},
+     "field 'pairs' must list every pair of the entities, in entity order"),
+    ({**GFULL, "entities": ["a", "b", "a"], "pairs": [["a", "b"]]},
+     "g-full graph entities must be distinct"),
+    ({**GRAPH, "variant": "sg-multi", "pairs": [["a", "b"]]},
+     "field 'pairs' must be empty for sg-multi graphs"),
+    ({**GRAPH, "variant": "base", "triples": []}, "a graph's variant is never base"),
 ], ids=["empty", "string entities", "numeric entity", "2-field triple", "string triple",
-        "numeric pair end", "unknown variant"])
+        "numeric pair end", "unknown variant", "g-full repeated pair", "g-full missing pair",
+        "g-full reversed pair", "g-full repeated entity", "sg-multi pairs", "base variant"])
 def test_graph_from_dict_rejects_malformed_object(data, error):
     with pytest.raises(ValueError) as excinfo:
         graph_from_dict(data)

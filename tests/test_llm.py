@@ -398,16 +398,22 @@ def test_http_backend_client_error_not_retried():
     assert len(session.requests) == 1
 
 
-@pytest.mark.parametrize("payload", [{"choices": [{}]}, {"choices": []}, {"result": "x"}, None])
-def test_http_backend_malformed_200_fails_fast(monkeypatch, payload):
+@pytest.mark.parametrize("payload", [
+    {"choices": [{}]}, {"choices": []}, {"result": "x"}, None,
+    {"choices": [{"text": ["a", "b"]}]}, {"choices": [{"text": 7}]},
+    {"choices": [{"text": None}]}, {"text": {"value": "x"}},
+])
+def test_http_backend_malformed_200_fails_fast(tmp_path, monkeypatch, payload):
     sleeps = []
     monkeypatch.setattr("time.sleep", sleeps.append)
     session = StubSession([StubResponse(200, payload)] * 3)
     backend = HTTPBackend("http://api.test", session=session, api_key="k")
-    with pytest.raises(BackendError, match=r"neither choices\[0\]\.text nor text"):
-        backend.complete(make_request())
+    with CompletionCache(tmp_path / "cache") as cache:
+        with pytest.raises(BackendError, match=r"neither choices\[0\]\.text nor text"):
+            cached_generate(make_request(), backend, cache)
     assert len(session.requests) == 1
     assert sleeps == []
+    assert log_lines(cache) == []
 
 
 def test_http_backend_honours_retry_after_seconds(monkeypatch):

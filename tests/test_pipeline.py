@@ -945,7 +945,7 @@ BAD_GRAPH_ROWS = {
                        "negative paragraph_index -1"),
     "entities-only graph": (
         lambda row: {**row, "graph": {**row["graph"], "variant": "entities", "triples": []}},
-        "graph: 'entities' is not a valid GraphVariant"),
+        "graph: 'entities' is not a valid PromptVariant"),
 }
 
 
