@@ -70,6 +70,9 @@ class Triple:
         if "\n" in self.relation:
             raise ValueError("relation must not contain newlines")
 
+    def __str__(self) -> str:
+        return f"({self.subject.text}, {self.relation}, {self.object.text})"
+
 
 @dataclass(frozen=True)
 class ParseReport:
@@ -92,7 +95,7 @@ class SemanticGraph:
             raise ValueError("a graph's variant is never base")
         if self.variant is PromptVariant.G_FULL:
             if self.triples:
-                raise ValueError("g-full graphs carry pairs, not triples")
+                raise ValueError("g-full graphs have no triples")
             if len(set(self.entities)) != len(self.entities):
                 raise ValueError("g-full graph entities must be distinct")
         known = {e.text for e in self.entities}
@@ -233,7 +236,7 @@ def serialize_graph(graph: SemanticGraph) -> str:
     if graph.variant is PromptVariant.G_FULL:
         lines = [f"({a.text}, {b.text})" for a, b in graph.pairs]
     else:
-        lines = [f"({t.subject.text}, {t.relation}, {t.object.text})" for t in graph.triples]
+        lines = [str(t) for t in graph.triples]
     if not lines:
         return ""
     return "\n".join(lines) + "\n"

@@ -4,6 +4,10 @@ Matching is casefolded and whitespace-collapsed but nothing fuzzier, since
 the claim being measured is verbatim traceability. Span offsets always refer
 to the raw paragraph text. Relations get a separate sub-rate because
 relational phrases are often inflected away from the source wording.
+
+A report searches each distinct element text once per paragraph: an entity
+that comes back as a triple's subject or object shares the same spans tuple.
+A span carries no kind; it takes the kind of the element that owns it.
 """
 
 from __future__ import annotations
@@ -19,27 +23,26 @@ from .graph import SemanticGraph
 
 logger = logging.getLogger(__name__)
 
-HTML_CLASS = {"entity": "entity", "subject": "entity", "object": "entity",
-              "relation": "relation"}
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundingSpan:
-    element_kind: str
     char_start: int
     char_end: int
     matched_text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementGrounding:
     element_kind: str
     element_text: str
-    grounded: bool
     spans: tuple[GroundingSpan, ...]
 
+    @property
+    def grounded(self) -> bool:
+        return bool(self.spans)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class GroundingReport:
     source_title: str
     per_element: tuple[ElementGrounding, ...]
@@ -96,22 +99,22 @@ def _normalize_element(element: str) -> str:
     return " ".join(element.casefold().split())
 
 
-def ground_element(
-    element: str, paragraph: Paragraph, kind: str = "entity"
-) -> tuple[bool, list[GroundingSpan]]:
+def ground_element(element: str, paragraph: Paragraph) -> tuple[bool, list[GroundingSpan]]:
     """All non-overlapping occurrences of `element` in the paragraph under
     casefold + whitespace-collapse matching; offsets index the raw text."""
-    return _ground_in(element, paragraph.text, _normalize_with_offsets(paragraph.text), kind)
+    text = paragraph.text
+    spans = _ground_in(element, text, _normalize_with_offsets(text))
+    return bool(spans), spans
 
 
 def _ground_in(
-    element: str, text: str, normalized: tuple[str, list[int], list[int]], kind: str
-) -> tuple[bool, list[GroundingSpan]]:
-    """`ground_element` against `text` already normalised by
+    element: str, text: str, normalized: tuple[str, list[int], list[int]]
+) -> list[GroundingSpan]:
+    """The spans of `ground_element` against `text` already normalised by
     `_normalize_with_offsets`, so a paragraph is normalised once."""
     needle = _normalize_element(element)
     if not needle:
-        return False, []
+        return []
     haystack, positions, raws = normalized
     spans: list[GroundingSpan] = []
     pos = haystack.find(needle)
@@ -128,18 +131,11 @@ def _ground_in(
             # a match ends on a folded character, never on a space, so it
             # ends one raw character after that character's start
             char_end = last_start + 1
-            spans.append(
-                GroundingSpan(
-                    element_kind=kind,
-                    char_start=char_start,
-                    char_end=char_end,
-                    matched_text=text[char_start:char_end],
-                )
-            )
+            spans.append(GroundingSpan(char_start, char_end, text[char_start:char_end]))
             pos = haystack.find(needle, pos + len(needle))
         else:
             pos = haystack.find(needle, pos + 1)
-    return bool(spans), spans
+    return spans
 
 
 def _graph_elements(graph: SemanticGraph) -> list[tuple[str, str]]:
@@ -164,15 +160,12 @@ def grounding_report(graph: SemanticGraph, paragraph: Paragraph) -> GroundingRep
         raise ValueError(
             f"graph is for {graph.source_title!r}, paragraph is {paragraph.title!r}"
         )
-    normalized = _normalize_with_offsets(paragraph.text)
-    per_element = []
-    for kind, text in _graph_elements(graph):
-        grounded, spans = _ground_in(text, paragraph.text, normalized, kind)
-        per_element.append(
-            ElementGrounding(
-                element_kind=kind, element_text=text, grounded=grounded, spans=tuple(spans)
-            )
-        )
+    text = paragraph.text
+    normalized = _normalize_with_offsets(text)
+    elements = _graph_elements(graph)
+    spans = {element: tuple(_ground_in(element, text, normalized))
+             for element in dict.fromkeys(element for _, element in elements)}
+    per_element = [ElementGrounding(kind, element, spans[element]) for kind, element in elements]
     relations = [e for e in per_element if e.element_kind == "relation"]
     others = [e for e in per_element if e.element_kind != "relation"]
     return GroundingReport(
@@ -197,7 +190,7 @@ def report_to_dict(report: GroundingReport) -> dict:
                 "grounded": e.grounded,
                 "spans": [
                     {
-                        "element_kind": s.element_kind,
+                        "element_kind": e.element_kind,
                         "char_start": s.char_start,
                         "char_end": s.char_end,
                         "matched_text": s.matched_text,
@@ -210,37 +203,36 @@ def report_to_dict(report: GroundingReport) -> dict:
     }
 
 
-def _select_nonoverlapping(spans: list[GroundingSpan]) -> tuple[list[GroundingSpan], int]:
-    """Keep outermost spans: sorted by start then longest-first, a span is
-    dropped when it overlaps one already kept."""
-    ordered = sorted(spans, key=lambda s: (s.char_start, -(s.char_end - s.char_start)))
-    kept: list[GroundingSpan] = []
+def _select_nonoverlapping(marks: list[tuple]) -> tuple[list[tuple], int]:
+    """Keep outermost (start, end, class) marks: sorted by start then
+    longest-first, ties in element order, a mark is dropped when it overlaps
+    one already kept."""
+    kept: list[tuple[int, int, str]] = []
     dropped = 0
-    for span in ordered:
-        if kept and span.char_start < kept[-1].char_end:
+    for mark in sorted(marks, key=lambda m: (m[0], m[0] - m[1])):
+        if kept and mark[0] < kept[-1][1]:
             dropped += 1
             continue
-        kept.append(span)
+        kept.append(mark)
     return kept, dropped
 
 
 def render_highlights(paragraph: Paragraph, report: GroundingReport) -> str:
     """Render the report as a static HTML page with entity and relation spans
     marked distinguishably."""
-    all_spans = [s for e in report.per_element for s in e.spans]
-    kept, dropped = _select_nonoverlapping(all_spans)
+    marks = [(s.char_start, s.char_end, "relation" if e.element_kind == "relation" else "entity")
+             for e in report.per_element for s in e.spans]
+    kept, dropped = _select_nonoverlapping(marks)
     if dropped:  # entity spans nested in triple fields are the normal case
         logger.debug("dropped %d overlapping span(s) for %r", dropped, paragraph.title)
+    text = paragraph.text
     pieces = []
     cursor = 0
-    for span in kept:
-        pieces.append(html.escape(paragraph.text[cursor : span.char_start]))
-        css = HTML_CLASS[span.element_kind]
-        pieces.append(
-            f'<mark class="{css}">{html.escape(paragraph.text[span.char_start : span.char_end])}</mark>'
-        )
-        cursor = span.char_end
-    pieces.append(html.escape(paragraph.text[cursor:]))
+    for start, end, css in kept:
+        pieces.append(html.escape(text[cursor:start]))
+        pieces.append(f'<mark class="{css}">{html.escape(text[start:end])}</mark>')
+        cursor = end
+    pieces.append(html.escape(text[cursor:]))
     body = "".join(pieces)
     note = f"<!-- {dropped} overlapping span(s) dropped -->\n" if dropped else ""
     rate = f"{report.grounding_rate:.3f}"

@@ -182,20 +182,26 @@ class HTTPBackend:
 
     Unless a `session` is given, requests go through a
     `transport.KeepAliveSession`, which keeps connections open between calls
-    until `close`.
+    until `close`. An endpoint or key that no request could carry raises
+    `ValueError` here, before any request.
     """
 
     def __init__(self, endpoint: str, session=None, timeout: float = 120.0,
                  api_key: str | None = None):
-        self._owns_session = session is None
-        if session is None:
-            from .transport import KeepAliveSession
+        from . import transport  # imported only here, so a replay run never loads it
 
-            session = KeepAliveSession()
-        self._session = session
+        api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
+        if transport.BAD_TARGET.search(endpoint):
+            raise ValueError(f"endpoint {endpoint!r} holds a space, a control character "
+                             "or a character outside Latin-1")
+        if transport.BAD_FIELD.search(api_key):  # never print the key
+            raise ValueError(f"{API_KEY_ENV} holds a control character or a character "
+                             "outside Latin-1, which no HTTP header can carry")
+        self._owns_session = session is None
+        self._session = transport.KeepAliveSession() if session is None else session
         self._endpoint = endpoint
         self._timeout = timeout
-        self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
+        self._api_key = api_key
         self.backend_id = f"http:{endpoint}"
 
     def complete(self, request: GenerationRequest) -> str:

@@ -187,7 +187,10 @@ def make_backend(config: RunConfig):
         raise UsageError(
             f"live backend endpoint {config.endpoint!r} needs an http:// or https:// scheme"
         )
-    return HTTPBackend(config.endpoint)
+    try:
+        return HTTPBackend(config.endpoint)
+    except ValueError as exc:  # an endpoint or key that no request could carry
+        raise UsageError(f"live backend: {exc}") from exc
 
 
 def extract_paragraph_graph(
@@ -546,7 +549,8 @@ def run_ground(graphs_path, records: list[corpus.QuestionRecord], output_path,
             }
             if html_root:
                 page = grounding.render_highlights(paragraph, report)
-                write_atomic(html_root / f"{record.id}_{index}.html", [page])
+                name = record.id.replace("%", "%25").replace("/", "%2F")  # stays in html/
+                write_atomic(html_root / f"{name}_{index}.html", [page])
             count += 1
 
     write_jsonl(output_path, reports())

@@ -28,10 +28,13 @@ MAX_LINE = 65536
 
 _STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9][0-9])(?: [^\r\n]*)?\r?\n")
 _CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;[^\r\n]*)?\r?\n")
-# Control characters refused in a request target, and in a header name or
-# value (which may hold a tab), so that no caller's string can end a line early.
-_BAD_TARGET = re.compile(r"[\x00-\x20\x7f]")
-_BAD_FIELD = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
+# Characters refused in a request target (a space too), and in a header name
+# or value (which may hold a tab): control characters, so that no caller's
+# string can end a line early, and any character outside Latin-1, the head's
+# encoding. `llm.HTTPBackend` checks its endpoint and key with these too.
+# Each lists what it allows, which compiles far faster than a range to U+10FFFF.
+BAD_TARGET = re.compile(r"[^\x21-\x7e\x80-\xff]")
+BAD_FIELD = re.compile(r"[^\t\x20-\x7e\x80-\xff]")
 
 # How a kept-alive connection that the server has closed fails before a
 # status line. `_read_head` raises `http.client.RemoteDisconnected`, a
@@ -169,8 +172,8 @@ def _send(conn: _Connection, target: str, body: bytes, headers: dict):
     response: (status, headers, whether the connection may stay open). The
     connection is closed if either fails."""
     try:
-        if _BAD_TARGET.search(target) or _BAD_FIELD.search("".join([*headers, *headers.values()])):
-            raise ValueError("a control character in the request target or a header")
+        if BAD_TARGET.search(target) or BAD_FIELD.search("".join([*headers, *headers.values()])):
+            raise ValueError("a control or non-Latin-1 character in the target or a header")
         fields = "".join([f"{name}: {value}\r\n" for name, value in headers.items()])
         head = (f"POST {target} HTTP/1.1\r\nHost: {conn.host}\r\nAccept-Encoding: identity\r\n"
                 f"Content-Length: {len(body)}\r\n{fields}\r\n")

@@ -275,9 +275,19 @@ GFULL = {"source_title": "T", "variant": "g-full", "entities": ["a", "b", "c"],
     ({**GRAPH, "variant": "sg-multi", "pairs": [["a", "b"]]},
      "field 'pairs' must be empty for sg-multi graphs"),
     ({**GRAPH, "variant": "base", "triples": []}, "a graph's variant is never base"),
+    ({**GFULL, "triples": [["a", "r", "b"]]}, "g-full graphs have no triples"),
+    ({**GRAPH, "triples": [["a", "r", "c"]]},
+     "triple endpoint missing from entity list: (a, r, c)"),
+    ({**GRAPH, "entities": ["", "b"]}, "entity text must be nonempty"),
+    ({**GRAPH, "entities": [" a", "b"]}, "entity text must be trimmed: ' a'"),
+    ({**GRAPH, "entities": ["a\nb", "b"]}, "entity text must not contain newlines: 'a\\nb'"),
+    ({**GRAPH, "triples": [["a", "", "b"]]}, "relation must be nonempty and trimmed: ''"),
+    ({**GRAPH, "triples": [["a", "r ", "b"]]}, "relation must be nonempty and trimmed: 'r '"),
 ], ids=["empty", "string entities", "numeric entity", "2-field triple", "string triple",
         "numeric pair end", "unknown variant", "g-full repeated pair", "g-full missing pair",
-        "g-full reversed pair", "g-full repeated entity", "sg-multi pairs", "base variant"])
+        "g-full reversed pair", "g-full repeated entity", "sg-multi pairs", "base variant",
+        "g-full triples", "unknown triple endpoint", "empty entity", "untrimmed entity",
+        "entity with newline", "empty relation", "untrimmed relation"])
 def test_graph_from_dict_rejects_malformed_object(data, error):
     with pytest.raises(ValueError) as excinfo:
         graph_from_dict(data)

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from sgqa import grounding
 from sgqa.corpus import Paragraph
 from sgqa.graph import Entity, Triple, multi_step_graph
 from sgqa.grounding import (
@@ -77,6 +78,44 @@ def test_ground_element_offsets_are_raw(windermere_paragraph):
     grounded, spans = ground_element("Tourism is popular", windermere_paragraph)
     start = spans[0].char_start
     assert windermere_paragraph.text[start:].startswith("Tourism")
+
+
+def test_ground_element_skips_matches_inside_a_casefold_expansion():
+    paragraph = Paragraph("T", ("ßs",))  # normalises to "sss"
+    for element, span in [("s", (1, 2, "s")), ("ss", (0, 1, "ß"))]:
+        _, spans = ground_element(element, paragraph)
+        assert [(s.char_start, s.char_end, s.matched_text) for s in spans] == [span]
+
+
+def test_grounding_report_searches_each_distinct_text_once(
+    alder_graph, alder_paragraph, monkeypatch
+):
+    searched = []
+    ground_in = grounding._ground_in
+    monkeypatch.setattr(grounding, "_ground_in", lambda element, *args: (
+        searched.append(element) or ground_in(element, *args)))
+    report = grounding_report(alder_graph, alder_paragraph)
+    # the triple's subject and object are entities already searched
+    assert searched == ["Alder & Sons", "Thomas Alder", "Manchester", "founded by"]
+    entity, subject = report.per_element[0], report.per_element[3]
+    assert (entity.element_kind, subject.element_kind) == ("entity", "subject")
+    assert subject.spans is entity.spans
+
+
+words = st.text(alphabet="abAß ", min_size=1, max_size=4).map(str.strip).filter(bool)
+
+
+@given(st.lists(words, min_size=1, max_size=4, unique=True), st.data(),
+       st.text(alphabet="abAß \n", max_size=30))
+def test_report_entry_equals_ground_element_alone(names, data, text):
+    entities = [Entity(name) for name in names]
+    triple = st.builds(Triple, st.sampled_from(entities), words, st.sampled_from(entities))
+    triples = data.draw(st.lists(triple, max_size=3))
+    paragraph = Paragraph("T", (text[:10], text[10:]))
+    report = grounding_report(multi_step_graph("T", entities, triples), paragraph)
+    assert len(report.per_element) == len(entities) + 3 * len(triples)
+    for entry in report.per_element:
+        assert (entry.grounded, list(entry.spans)) == ground_element(entry.element_text, paragraph)
 
 
 def test_grounding_report_all_verbatim(alder_graph, alder_paragraph):
@@ -238,5 +277,5 @@ def test_normalize_matches_per_character_reference(text):
 def test_spans_match_per_character_reference(text, data):
     start = data.draw(st.integers(0, len(text)))
     element = text[start:data.draw(st.integers(start, len(text)))]
-    _, spans = _ground_in(element, text, _normalize_with_offsets(text), "entity")
+    spans = _ground_in(element, text, _normalize_with_offsets(text))
     assert [(s.char_start, s.char_end) for s in spans] == reference_spans(element, text)

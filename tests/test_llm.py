@@ -8,6 +8,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +27,9 @@ from sgqa.llm import (
     request_key,
     write_replay_fixture,
 )
-from sgqa import transport
+from sgqa import cli, transport
+
+E2E = Path(__file__).parent / "data" / "e2e"
 
 
 def make_request(**overrides):
@@ -631,6 +634,28 @@ def test_https_proxy_tunnels_with_connect(server, monkeypatch):
         call(backend)
     assert server.tunnels == [f"{UNRESOLVABLE}:443"] * 3
     assert server.requests == []
+
+
+@pytest.mark.parametrize("key,path", [
+    ("key\r", "/v1/completions"), ("ключ", "/v1/completions"), ("a-key", "/v1/comp letions"),
+], ids=["control character in key", "key outside Latin-1", "space in endpoint"])
+def test_cli_rejects_unsendable_key_or_endpoint_before_any_request(
+    server, monkeypatch, capsys, tmp_path, key, path
+):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    monkeypatch.setenv("SGQA_API_KEY", key)
+    code = cli.main([
+        "answer", "--dataset", str(E2E / "dataset.json"), "--variant", "base",
+        "--backend", "live", "--endpoint", server.base + path, "--model", "m",
+        "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "run"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert server.connections == 0 and server.requests == [] and sleeps == []
+    assert key not in err
+    assert ("SGQA_API_KEY" in err) == (path == "/v1/completions")
+    assert not (tmp_path / "run" / "predictions.jsonl").exists()
 
 
 # --------------------------------------------------------------- HTTP/1.1 framing

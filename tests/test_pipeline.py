@@ -66,6 +66,30 @@ def test_run_extract_gfull_graphs(tmp_path):
     assert len(graph.pairs) == k * (k - 1) // 2 > 0
 
 
+def test_sg_multi_without_entities_writes_empty_graph_and_asks_no_relations(
+    tmp_path, records, monkeypatch, caplog
+):
+    prompts_sent, relation_prompts = [], []
+
+    class NoEntities(ReplayBackend):
+        def complete(self, request):
+            prompts_sent.append(request.prompt)
+            return ""
+
+    monkeypatch.setattr(pipeline, "make_backend", lambda _config: NoEntities({}))
+    monkeypatch.setattr(prompts, "relation_prompt", lambda *args: relation_prompts.append(args))
+    with caplog.at_level("WARNING"):
+        graphs_path = pipeline.run_extract(make_config(tmp_path))
+    rows = [json.loads(line) for line in graphs_path.read_text().splitlines()]
+    paragraphs = [p for r in records for p in corpus.gold_paragraphs(r)]
+    assert [row["graph"] for row in rows] == [
+        {"source_title": p.title, "variant": "sg-multi", "entities": [], "pairs": [],
+         "triples": []} for p in paragraphs]
+    assert len(prompts_sent) == len(paragraphs) and relation_prompts == []
+    assert [r.getMessage() for r in caplog.records] == [
+        f"no entities extracted for {p.title!r}; emitting empty graph" for p in paragraphs]
+
+
 def test_rerun_extract_uses_cache_only(tmp_path):
     config = make_config(tmp_path)
     first = pipeline.run_extract(config).read_bytes()
@@ -624,6 +648,47 @@ def test_run_ground_reports(tmp_path, records):
     # fixture graphs are copied from their paragraphs, so entities ground fully
     assert all(row["entity_rate"] == 1.0 for row in rows)
     assert len(list((tmp_path / "html").glob("*.html"))) == 20
+
+
+def test_run_ground_skips_rows_for_unknown_questions_and_paragraphs(
+    tmp_path, graph_row, caplog
+):
+    graphs = tmp_path / "graphs.jsonl"
+    rows = [{**graph_row, "question_id": "nobody"}, {**graph_row, "paragraph_index": 2},
+            graph_row]
+    graphs.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "ground"
+    records = corpus.load_dataset(E2E / "dataset.json")
+    with caplog.at_level("WARNING"):
+        count = pipeline.run_ground(graphs, records, out / "grounding.jsonl",
+                                    html_dir=out / "html")
+    assert count == 1
+    assert [json.loads(line)["question_id"]
+            for line in (out / "grounding.jsonl").read_text().splitlines()] == ["e2e-01"]
+    assert [p.name for p in (out / "html").iterdir()] == ["e2e-01_0.html"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "graph for unknown question id 'nobody' skipped",
+        "graph index 2 out of range for e2e-01",
+    ]
+
+
+def test_cli_ground_keeps_pages_of_any_question_id_in_html(tmp_path):
+    ids = ["../escaped", "a/b", "a%2Fb"]
+    dataset = json.loads((E2E / "dataset.json").read_text(encoding="utf-8"))[:3]
+    for row, question_id in zip(dataset, ids):
+        row["_id"] = question_id
+    (tmp_path / "dataset.json").write_text(json.dumps(dataset), encoding="utf-8")
+    config = make_config(tmp_path, dataset_path=str(tmp_path / "dataset.json"))
+    graphs = pipeline.run_extract(config)
+    out = tmp_path / "ground"
+    assert run_cli(["ground", "--dataset", tmp_path / "dataset.json", "--graphs", graphs,
+                    "--output-dir", out, "--html"]) == 0
+    pages = {f"{name}_{index}.html" for name in ["..%2Fescaped", "a%2Fb", "a%252Fb"]
+             for index in (0, 1)}
+    assert {str(p.relative_to(out)) for p in out.rglob("*")} == {
+        "grounding.jsonl", "html", *(f"html/{page}" for page in pages)}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "dataset.json", "ground",
+                                                           "run"]
 
 
 # --------------------------------------------------------------- cli
