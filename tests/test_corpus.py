@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from sgqa import corpus
 from sgqa.corpus import (
     DatasetParseError,
     DatasetSchemaError,
@@ -97,6 +98,37 @@ def test_load_dataset_2wiki_ingests_evidences(tmp_path):
 
 def test_paragraph_text_is_sentence_concatenation(windermere_paragraph):
     assert windermere_paragraph.text == "".join(windermere_paragraph.sentences)
+
+
+def test_paragraph_from_a_list_or_a_one_shot_iterable_equals_its_tuple_twin():
+    twin = Paragraph("T", ("One.", " Two."))
+    for sentences in (["One.", " Two."], (s for s in ["One.", " Two."])):
+        paragraph = Paragraph("T", sentences)
+        assert paragraph == twin and hash(paragraph) == hash(twin)
+        for _ in range(2):
+            assert paragraph.text == "One. Two."
+            assert paragraph.sentences == ("One.", " Two.")
+
+
+_CHARS = "é𝄞 \n\ta"
+
+
+@given(title=st.text(_CHARS, min_size=1, max_size=4),
+       a=st.lists(st.text(_CHARS, max_size=4), max_size=4),
+       b=st.lists(st.text(_CHARS, max_size=4), max_size=4))
+def test_paragraph_holds_its_sentences_and_equals_by_them(title, a, b):
+    # Sentences may be "" and lists may be empty.
+    first, second = Paragraph(title, a), Paragraph(title, b)
+    assert first.sentences == tuple(a) and first.text == "".join(a)
+    assert (first == second) == (tuple(a) == tuple(b))
+    if tuple(a) == tuple(b):
+        assert hash(first) == hash(second)
+    assert Paragraph(title, ("ab",)) != Paragraph(title, ("a", "b"))
+    raw = {"_id": "q", "question": "q?", "answer": "a", "supporting_facts": [],
+           "context": [[title, a]]}
+    [loaded] = corpus._build_records([raw], "memory")[0].context
+    assert loaded == first
+    assert loaded.text is loaded.text  # stored, not joined on each access
 
 
 def test_gold_paragraphs_in_context_order(hedemann_record):

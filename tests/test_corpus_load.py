@@ -224,6 +224,22 @@ def test_stream_equals_one_shot_parse_at_any_chunk_size(tmp_path, monkeypatch, o
     assert one_shot_parses == []
 
 
+def test_stream_equals_one_shot_parse_at_the_real_chunk_size(tmp_path, one_shot_parses):
+    # A paragraph several chunks long, its multi-byte characters falling
+    # across the chunk boundaries.
+    sentences = [f"{i} é€𝄞 " * 9 for i in range(4 * corpus._CHUNK // 80)]
+    records = [_record("a"), _record("big", context=[["T", sentences], ["𝄞", ["é"]]]),
+               _record("z")]
+    path = write_json(tmp_path / "big.json", records)
+    assert path.stat().st_size > 4 * corpus._CHUNK
+    expected = corpus._build_records(corpus._read_json(path), path)
+    one_shot_parses.clear()
+    loaded = load_dataset(path)
+    assert loaded == expected
+    assert loaded[1].context[0].sentences == tuple(sentences)
+    assert one_shot_parses == []
+
+
 @pytest.mark.parametrize("cut", range(1, 5))
 def test_number_cut_at_a_chunk_boundary_is_one_bad_record(tmp_path, monkeypatch,
                                                          one_shot_parses, cut):
