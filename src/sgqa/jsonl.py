@@ -144,20 +144,19 @@ def read_log(path):
 
 
 def open_log(path):
-    """Open the append-only log at `path` for `append_line`, creating it. If
-    the file does not end in a newline, its last line is torn or another
-    process is still appending it, so the first append starts with a newline.
-    None is written now: it could land inside that other process's line."""
-    log = open(path, "a+b", buffering=0)  # readable too, for the last byte
-    log.seek(max(log.tell() - 1, 0))  # append mode opens at the end
-    ends_mid_line = log.read(1) not in (b"", b"\n")
-    log.lead = b"\n" if ends_mid_line else b""  # written before the next line
-    return log
+    """Open the append-only log at `path` for `append_line`, creating it."""
+    return open(path, "a+b", buffering=0)  # readable too, for the last byte
 
 
 def append_line(log, text: str) -> None:
-    """Append `text` and a newline to a log from `open_log` in one write."""
-    data = log.lead + (text + "\n").encode("utf-8")
-    log.lead = b""
+    """Append `text` and a newline to a log from `open_log` in one write. If
+    the log does not end in a newline, its last line is torn or another
+    process is still appending it, so the line starts with a newline. The
+    last byte is read before every append, not once at open: another writer
+    may have died mid-line since."""
+    fd = log.fileno()
+    size = os.fstat(fd).st_size
+    lead = b"\n" if size and os.pread(fd, 1, size - 1) != b"\n" else b""
+    data = lead + (text + "\n").encode("utf-8")
     if log.write(data) != len(data):
         raise OSError(f"{log.name}: short write to an append-only log")

@@ -302,8 +302,8 @@ class CompletionCache:
       write, under a lock, and indexes it.
     - The log is never cut. A corrupt or mistyped line, such as a torn last
       line (a put killed mid-write), is skipped with a warning; its request
-      is generated again on the next miss. If the log ends mid-line at open,
-      the first put starts a new line. Of two lines with one key, the later wins.
+      is generated again on the next miss. A put that finds the log ending
+      mid-line starts a new line. Of two lines with one key, the later wins.
     - The one-file-per-completion `objects/` directory of earlier versions
       is not read.
 

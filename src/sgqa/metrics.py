@@ -31,7 +31,7 @@ import math
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
 _DELETE_PUNCT = str.maketrans("", "", string.punctuation)
@@ -96,17 +96,6 @@ def answer_score(prediction: str, gold: str) -> AnswerScore:
         _overlap(pred_tokens, gold_tokens), len(pred_tokens), len(gold_tokens)
     )
     return AnswerScore(em=em, f1=f1, precision=precision, recall=recall)
-
-
-def aggregate_scores(scores: list[AnswerScore] | list[RougeScore]):
-    """Arithmetic field-wise mean of AnswerScores or of RougeScores;
-    per-question EM values average to a rate."""
-    if not scores:
-        raise ValueError("cannot aggregate an empty score list")
-    n = len(scores)
-    return type(scores[0])(
-        **{f.name: sum(getattr(s, f.name) for s in scores) / n for f in fields(scores[0])}
-    )
 
 
 def _overlap(a: list, b: list) -> int:

@@ -5,8 +5,14 @@ gold paragraph's semantic graph, and `answer_question` answers one question
 with a prompt that carries those graphs. `_run_stage` is the one driver of a
 backend stage: it loads the records, builds the backend, opens the completion
 cache, maps a per-record step over the records, records a failing step's
-reason and writes the rows and the manifest. `run_extract` and `run_answer`
-hold only their own checks, their demonstrations and that step.
+reason and writes the rows and the manifest. The rows stream into the output
+file as each step's outcome arrives, in input order, so no stage holds its
+whole output. `run_extract` and `run_answer` hold only their own checks,
+their demonstrations and that step.
+
+`run_evaluate` scores the predictions in one pass with running sums per
+variant/setting group, and `read_predictions` gives its rows one shared
+string per field name.
 
 Stages are idempotent: completions are cached on disk, so re-running (or
 resuming after a kill) recomputes outputs byte-identically without repeat
@@ -30,7 +36,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -269,10 +275,11 @@ def answer_question(
 def _run_stage(config: RunConfig, stage: str, filename: str, status: str, step) -> Path:
     """Run one backend stage: load the records, build the backend, write the
     manifest, map `step(record, backend, cache)` over the records in input
-    order, write every row it returns to <output_dir>/<filename>, then mark
-    each record `status` or failed and write the manifest once more. A step
-    returns (rows, None) or (None, failure reason); one that raises fails its
-    record with the reason "<stage>: <exception>"."""
+    order, stream the rows it returns into <output_dir>/<filename> as each
+    step's outcome arrives, marking its record `status` or failed, and once
+    the file is written save the manifest once more. A step returns (rows,
+    None) or (None, failure reason); one that raises fails its record with
+    the reason "<stage>: <exception>"."""
     records = load_records(config)
     backend = make_backend(config)
     with closing(backend), CompletionCache(config.cache_dir) as cache:
@@ -289,18 +296,20 @@ def _run_stage(config: RunConfig, stage: str, filename: str, status: str, step) 
                                exc_info=logger.isEnabledFor(logging.DEBUG))
                 return None, f"{stage}: {exc}"
 
-        if config.workers <= 1:
-            outcomes = [run(r) for r in records]
-        else:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                outcomes = list(pool.map(run, records))
+        def rows(outcomes):
+            for record, (record_rows, failure) in zip(records, outcomes):
+                if failure is None:
+                    manifest.mark(record.id, status)
+                else:
+                    manifest.mark(record.id, "failed", reason=failure)
+                yield from record_rows or ()
+
         path = out_dir / filename
-        write_jsonl(path, (row for rows, _ in outcomes for row in rows or ()))
-        for record, (_, failure) in zip(records, outcomes):
-            if failure is None:
-                manifest.mark(record.id, status)
-            else:
-                manifest.mark(record.id, "failed", reason=failure)
+        # Closing the outcomes cancels the steps not yet started if the write fails.
+        with ThreadPoolExecutor(max_workers=max(config.workers, 1)) as pool, closing(
+                pool.map(run, records) if config.workers > 1
+                else (run(record) for record in records)) as outcomes:
+            write_jsonl(path, rows(outcomes))
         manifest.save()
     return path
 
@@ -380,56 +389,63 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
 def read_predictions(paths) -> list[dict]:
     """Prediction rows of all the JSONL files. A row that lacks a string field
     run_evaluate reads, or with a (variant, setting, question_id) that an
-    earlier row of any of the files has, is rejected naming its file and line."""
+    earlier row of any of the files has, is rejected naming its file and line.
+    The rows share one string per field name: the JSON decoder shares keys
+    only within one line."""
     fields = dict.fromkeys(("question_id", "variant", "setting", "answer", "completion"), str)
-    return [row for _, _, row in read_rows(paths, fields, "prediction",
-                                           itemgetter("variant", "setting", "question_id"))]
+    names: dict[str, str] = {}
+    return [{names.setdefault(name, name): value for name, value in row.items()}
+            for _, _, row in read_rows(paths, fields, "prediction",
+                                       itemgetter("variant", "setting", "question_id"))]
 
 
-def _write_table(out_dir: Path, stem: str, header: list[str], rows: list[list],
-                 markdown: bool = True):
-    """Write one table as <stem>.csv and, when `markdown`, as <stem>.md."""
+def _table_files(stem: str, header: list[str], rows: list[list]) -> list[tuple[str, str]]:
+    """One small table as the texts of <stem>.csv and <stem>.md."""
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
-    write_atomic(out_dir / f"{stem}.csv", [buffer.getvalue()])
-    if markdown:
-        lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-        lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
-        write_atomic(out_dir / f"{stem}.md", ["\n".join(lines) + "\n"])
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
+    return [(f"{stem}.csv", buffer.getvalue()), (f"{stem}.md", "\n".join(lines) + "\n")]
 
 
 def _fmt(value) -> str:
     return "" if value is None else f"{value:.4f}"
 
 
-def _aggregate(groups: dict[str, list]) -> tuple[dict, list[list]]:
-    """Each group's field-wise mean scores and count, and its table row."""
-    aggregates, rows = {}, []
-    for group in sorted(groups):
-        mean = dataclasses.asdict(metrics.aggregate_scores(groups[group]))
-        aggregates[group] = {**mean, "n": len(groups[group])}
-        rows.append([group, *map(_fmt, mean.values())])
-    return aggregates, rows
+class _ScoreTable:
+    """The <stem>_scores CSV text, one line added per scored row, and each
+    variant/setting group's count and running column sums. The sums start at
+    0 and add the scores in row order, as `sum()` over a list of them does,
+    so each mean keeps its bits."""
+
+    def __init__(self, stem: str, ids: tuple, columns: tuple, aggregate_header: list[str]):
+        self.stem, self.columns, self.aggregate_header = stem, columns, aggregate_header
+        self.text = io.StringIO()
+        self.writer = csv.writer(self.text, lineterminator="\n")
+        self.writer.writerow([*ids, *columns])
+        self.sums: dict[str, list] = {}  # group -> [count, *column sums]
+
+    def add(self, ids: list, group: str, values: tuple):
+        self.writer.writerow([*ids, *map(_fmt, values)])
+        sums = self.sums.setdefault(group, [0] * (1 + len(values)))
+        sums[0] += 1
+        for i, value in enumerate(values, start=1):
+            sums[i] += value
+
+    def finish(self) -> tuple[dict[str, dict], list[tuple[str, str]]]:
+        """Each group's column means and count, and the table files' texts."""
+        aggregates, rows = {}, []
+        for group, (n, *totals) in sorted(self.sums.items()):
+            means = [total / n for total in totals]
+            aggregates[group] = {**dict(zip(self.columns, means)), "n": n}
+            rows.append([group, *map(_fmt, means)])
+        return aggregates, [
+            (f"{self.stem}_scores.csv", self.text.getvalue()),
+            *_table_files(f"{self.stem}_aggregate", ["method", *self.aggregate_header], rows)]
 
 
-def _score_tables(stem: str, rows: list[dict], score_of, ids: tuple, columns: tuple,
-                  aggregate_header: list[str]):
-    """Score each prediction row, group the scores by variant/setting and
-    aggregate each group. Returns the scores in row order, the aggregates and
-    the <stem>_scores (the `ids` fields and score `columns` of each row) and
-    <stem>_aggregate tables."""
-    scores, groups, score_rows = [], {}, []
-    for row in rows:
-        score = score_of(row)
-        scores.append(score)
-        groups.setdefault(f"{row['variant']}/{row['setting']}", []).append(score)
-        score_rows.append([*(row[name] for name in ids),
-                           *(_fmt(getattr(score, column)) for column in columns)])
-    aggregates, aggregate_rows = _aggregate(groups)
-    return scores, aggregates, [
-        (f"{stem}_scores", [*ids, *columns], score_rows, False),
-        (f"{stem}_aggregate", ["method", *aggregate_header], aggregate_rows, True),
-    ]
+_answer_values = attrgetter(*ANSWER_COLUMNS)
+_rouge_values = attrgetter(*ROUGE_COLUMNS)
 
 
 def run_evaluate(
@@ -443,67 +459,72 @@ def run_evaluate(
 
     Returns the full report dict (also written as metrics.json). Predictions
     whose question id is not in the dataset are excluded with a warning.
-    Nothing is written until the report has serialised.
+
+    One pass over `predictions` in input order scores each row's answer, and
+    its chain ROUGE if it is a cot row with a reference chain. The row's CSV
+    lines go straight into the score tables' text, and its group's running
+    sums grow, so no score object outlives its row; only the labelled rows'
+    answer scores and labels are kept, for the correlations. Nothing is
+    written until the report has serialised.
     """
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     remove_dead_temps(out_dir)
     gold = {r.id: r.gold_answer for r in records}
-
-    known, skipped = [], []
-    for row in predictions:
-        (known if row["question_id"] in gold else skipped).append(row)
-    for row in skipped:
-        logger.warning("prediction for unknown question id %r excluded", row["question_id"])
-
-    scores, aggregates, tables = _score_tables(
-        "answer", known, lambda row: metrics.answer_score(row["answer"], gold[row["question_id"]]),
-        ("question_id", "variant", "setting"), ANSWER_COLUMNS,
-        ["EM", "F1", "Precision", "Recall"])
-    report: dict = {"answer": {"aggregates": aggregates}}
-
+    answers = _ScoreTable("answer", ("question_id", "variant", "setting"), ANSWER_COLUMNS,
+                          ["EM", "F1", "Precision", "Recall"])
     # Chain ROUGE against reference chains (CoT completions are the chains).
-    if reference_chains is not None:
-        cot_rows = [row for row in known if row["setting"] == Setting.COT.value
-                    and row["question_id"] in reference_chains]
-        _, chain_aggregates, chain_tables = _score_tables(
-            "chain", cot_rows,
-            lambda row: metrics.rouge_scores(row["completion"].strip(),
-                                             reference_chains[row["question_id"]]),
-            ("question_id", "variant"), ROUGE_COLUMNS, ["ROUGE-1", "ROUGE-2", "ROUGE-L"])
+    chains = None if reference_chains is None else _ScoreTable(
+        "chain", ("question_id", "variant"), ROUGE_COLUMNS, ["ROUGE-1", "ROUGE-2", "ROUGE-L"])
+    labelled = tuple([] for _ in ANSWER_COLUMNS)  # per answer column, of labelled rows
+    labels: list[float] = []
+
+    for row in predictions:
+        question_id, variant, setting = row["question_id"], row["variant"], row["setting"]
+        if question_id not in gold:
+            logger.warning("prediction for unknown question id %r excluded", question_id)
+            continue
+        group = f"{variant}/{setting}"
+        values = _answer_values(metrics.answer_score(row["answer"], gold[question_id]))
+        answers.add([question_id, variant, setting], group, values)
+        if human_labels is not None and question_id in human_labels:
+            for column, value in zip(labelled, values):
+                column.append(value)
+            labels.append(float(human_labels[question_id]))
+        if (chains is not None and setting == Setting.COT.value
+                and question_id in reference_chains):
+            chains.add([question_id, variant], group, _rouge_values(metrics.rouge_scores(
+                row["completion"].strip(), reference_chains[question_id])))
+
+    aggregates, files = answers.finish()
+    report: dict = {"answer": {"aggregates": aggregates}}
+    if chains is not None:
+        chain_aggregates, chain_files = chains.finish()
+        files += chain_files
         for agg in chain_aggregates.values():
             agg["bertscore"] = None  # reserved for an embedding-based metric
-        tables += chain_tables
         report["chain"] = {"aggregates": chain_aggregates}
 
     # Correlations of each answer metric with human 0/1 labels.
     if human_labels is not None:
-        labelled = [
-            (row, score, human_labels[row["question_id"]])
-            for row, score in zip(known, scores)
-            if row["question_id"] in human_labels
-        ]
         correlation_report = {}
         correlation_rows = []
-        for column in ANSWER_COLUMNS:
-            values = [getattr(score, column) for _, score, _ in labelled]
-            labels = [float(label) for _, _, label in labelled]
+        for column, values in zip(ANSWER_COLUMNS, labelled):
             try:
                 result = metrics.correlations(values, labels)
                 correlation_report[column] = {"rho": result.rho, "tau": result.tau, "n": result.n}
                 correlation_rows.append([column, _fmt(result.rho), _fmt(result.tau), result.n])
             except ValueError as exc:
                 logger.warning("correlation undefined for %s: %s", column, exc)
-                correlation_report[column] = {"rho": None, "tau": None, "n": len(labelled)}
-                correlation_rows.append([column, "undefined", "undefined", len(labelled)])
-        tables.append(
-            ("correlations", ["metric", "spearman_rho", "kendall_tau", "n"], correlation_rows, True)
-        )
+                correlation_report[column] = {"rho": None, "tau": None, "n": len(labels)}
+                correlation_rows.append([column, "undefined", "undefined", len(labels)])
+        files += _table_files("correlations", ["metric", "spearman_rho", "kendall_tau", "n"],
+                              correlation_rows)
         report["correlations"] = correlation_report
 
     text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    for table in tables:
-        _write_table(out_dir, *table)
+    for name, content in files:
+        write_atomic(out_dir / name, [content])
     write_atomic(out_dir / "metrics.json", [text])
     return report
 

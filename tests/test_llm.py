@@ -239,6 +239,22 @@ def test_cache_opened_during_another_append_keeps_that_line(tmp_path, caplog):
         assert cache.get("kB") == {"text": "B", "backend_id": "replay"}
 
 
+def test_put_after_another_writer_died_mid_line_is_kept(tmp_path, caplog):
+    """A writer that dies mid-line after a cache opened leaves a torn line;
+    the cache's next put still lands on a line of its own."""
+    with CompletionCache(tmp_path / "cache") as cache:
+        cache.put("k0", "zero", "replay")
+        with open(cache.path, "ab") as fh:  # another writer, killed mid-append
+            fh.write(b'{"key": "k1", "text": "v')
+        cache.put("k2", "two", "replay")
+    with caplog.at_level("WARNING"), CompletionCache(tmp_path / "cache") as cache:
+        assert cache.get("k0") == {"text": "zero", "backend_id": "replay"}
+        assert cache.get("k1") is None
+        assert cache.get("k2") == {"text": "two", "backend_id": "replay"}
+    assert f"{cache.path}:2: corrupt line skipped" in caplog.text
+    assert len(log_lines(cache)) == 3
+
+
 def test_cache_skips_corrupt_middle_line(tmp_path, caplog):
     requests = [make_request(prompt=p) for p in ("a", "b")]
     with CompletionCache(tmp_path / "cache") as cache:

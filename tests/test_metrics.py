@@ -13,7 +13,6 @@ from sgqa.metrics import (
     RougeScore,
     _overlap,
     _prf,
-    aggregate_scores,
     answer_score,
     average_ranks,
     chain_tokenize,
@@ -102,37 +101,6 @@ def test_answer_scores_bounded(a, b):
     score = answer_score(a, b)
     for value in (score.em, score.f1, score.precision, score.recall):
         assert 0.0 <= value <= 1.0
-
-
-def test_aggregate_scores_mean():
-    scores = [
-        AnswerScore(em=1.0, f1=1.0, precision=1.0, recall=1.0),
-        AnswerScore(em=0.0, f1=0.5, precision=0.25, recall=0.75),
-    ]
-    agg = aggregate_scores(scores)
-    assert agg == AnswerScore(em=0.5, f1=0.75, precision=0.625, recall=0.875)
-
-
-def test_aggregate_single_element():
-    score = AnswerScore(em=0.0, f1=0.5, precision=0.5, recall=0.5)
-    assert aggregate_scores([score]) == score
-
-
-def test_aggregate_empty_raises():
-    with pytest.raises(ValueError):
-        aggregate_scores([])
-
-
-def test_aggregate_ten_scores_hand_summed():
-    scores = [answer_score(p, g) for p, g in [
-        ("Stange", "Stange"), ("Stange, Norway", "Stange"), ("Paris", "Stange"),
-        ("x y", "x y"), ("x", "x y"), ("x y", "x"), ("x", "y"),
-        ("one two three", "one two"), ("one", "one"), ("", ""),
-    ]]
-    agg = aggregate_scores(scores)
-    assert abs(agg.em - 4 / 10) < 1e-12
-    assert abs(agg.recall - (1 + 1 + 0 + 1 + 0.5 + 1 + 0 + 1 + 1 + 1) / 10) < 1e-12
-    assert abs(agg.precision - (1 + 0.5 + 0 + 1 + 1 + 0.5 + 0 + 2 / 3 + 1 + 1) / 10) < 1e-12
 
 
 # --------------------------------------------------------------- rouge

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -571,6 +572,64 @@ def test_run_evaluate_hand_scored_aggregate(tmp_path, records):
     assert agg["precision"] == pytest.approx((1 + 0.5 + 0 + 1 + 0.5) / 5)
 
 
+def test_run_evaluate_ten_answers_hand_summed(tmp_path):
+    pairs = [("Stange", "Stange"), ("Stange, Norway", "Stange"), ("Paris", "Stange"),
+             ("x y", "x y"), ("x", "x y"), ("x y", "x"), ("x", "y"),
+             ("one two three", "one two"), ("one", "one"), ("", "")]
+    records = [corpus.QuestionRecord(f"q{i}", "?", gold, (), frozenset())
+               for i, (_, gold) in enumerate(pairs)]
+    predictions = [{"question_id": f"q{i}", "variant": "base", "setting": "fewshot",
+                    "completion": answer, "answer": answer}
+                   for i, (answer, _) in enumerate(pairs)]
+    report = pipeline.run_evaluate(predictions, records, tmp_path / "eval")
+    agg = report["answer"]["aggregates"]["base/fewshot"]
+    assert agg["n"] == 10
+    assert abs(agg["em"] - 4 / 10) < 1e-12
+    assert abs(agg["recall"] - (1 + 1 + 0 + 1 + 0.5 + 1 + 0 + 1 + 1 + 1) / 10) < 1e-12
+    assert abs(agg["precision"] - (1 + 0.5 + 0 + 1 + 1 + 0.5 + 0 + 2 / 3 + 1 + 1) / 10) < 1e-12
+
+
+def synthetic_evaluate_inputs(n):
+    """n questions with cot predictions (a fifth of the answers right), a
+    reference chain and a 0/1 label each."""
+    records = [corpus.QuestionRecord(f"q{i:05d}", "?", f"answer {i % 3}", (), frozenset())
+               for i in range(n)]
+    predictions = [
+        {"question_id": r.id, "variant": "sg-multi", "setting": "cot", "prompt_hash": "x",
+         "completion": f"Step {i} finds the one place. So the answer is: answer {i % 5}.",
+         "chain_sentences": [], "answer": f"answer {i % 5}", "backend_id": "replay",
+         "flags": []}
+        for i, r in enumerate(records)]
+    labels = {r.id: i % 2 for i, r in enumerate(records)}
+    references = {r.id: f"Step {i} names the place, answer {i % 3}." for i, r in enumerate(records)}
+    return predictions, records, labels, references
+
+
+def evaluate_peak(out_dir, n) -> int:
+    """Bytes that run_evaluate allocates at its peak above its inputs."""
+    predictions, records, labels, references = synthetic_evaluate_inputs(n)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        pipeline.run_evaluate(predictions, records, out_dir, human_labels=labels,
+                              reference_chains=references)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_evaluate_peak_grows_by_few_bytes_per_prediction(tmp_path):
+    # One pass keeps the CSV lines of each prediction, and the four answer
+    # scores and the label of a labelled one: the slope measures about 370
+    # bytes per prediction here (430 from 1,000 to 7,405 predictions). The
+    # earlier evaluate kept a score object and a table row per prediction
+    # until the end: about 1,350 here and 1,340 to 7,405.
+    small, large = 500, 1500
+    slope = (evaluate_peak(tmp_path / "large", large)
+             - evaluate_peak(tmp_path / "small", small)) / (large - small)
+    assert slope < 800
+
+
 def test_run_evaluate_excludes_unknown_ids(tmp_path, records, caplog):
     predictions = [
         {"question_id": "mystery", "variant": "base", "setting": "cot",
@@ -774,6 +833,7 @@ def test_cli_config_file_rejects_unknown_key(tmp_path):
     ('{"not_a_field": 1}', "unknown config key 'not_a_field'"),
     ('{"variant": "nope"}', "'nope' is not a valid PromptVariant"),
     ('{"split": "train"}', "unknown split 'train'"),
+    ('{"backend": "grpc"}', "unknown backend 'grpc'"),
 ])
 def test_cli_names_faulty_config_file(tmp_path, capsys, text, error):
     config_file = tmp_path / "config.json"
@@ -787,6 +847,31 @@ def test_cli_names_faulty_config_file(tmp_path, capsys, text, error):
     assert code == 2
     assert f"error: {config_file}: {error}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("args,error", [
+    pytest.param(["--backend", "replay"], "replay backend needs --replay-file",
+                 id="replay-without-file"),
+    pytest.param(["--backend", "live"], "live backend needs --endpoint",
+                 id="live-without-endpoint"),
+    pytest.param(["--replay-file", E2E / "replay.jsonl", "--graphs", "G"],
+                 "the base variant takes no graphs", id="base-with-graphs"),
+    pytest.param(["--replay-file", E2E / "replay.jsonl", "--split", "dev", "--dev-n", "-1"],
+                 "split sizes must be non-negative", id="negative-split-size"),
+])
+def test_cli_answer_rejects_unusable_run_before_any_output(tmp_path, capsys, args, error):
+    code = run_cli(["answer", "--dataset", E2E / "dataset.json", "--variant", "base", *args,
+                    "--cache-dir", tmp_path / "cache", "--output-dir", tmp_path / "run"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_report_without_metric_tables_fails(tmp_path, capsys):
+    (tmp_path / "predictions.jsonl").write_text("")
+    assert run_cli(["report", "--run-dir", tmp_path]) == 1
+    assert capsys.readouterr().err == f"no metric files under {tmp_path}\n"
+    assert not (tmp_path / "report.md").exists()
 
 
 @pytest.mark.parametrize("command", ["extract", "answer"])
