@@ -9,10 +9,11 @@ even if the process is killed mid-write. Such a kill leaves the temp file
 behind; `remove_dead_temps` deletes it when a later stage starts.
 
 The one exception is an append-only log, which is appended to, never renamed
-into place: the completion cache's `completions.jsonl`. Each line is appended
-in one unbuffered write, so a kill leaves at most a torn last line, one
-without its newline. The log is never cut: `read_log` skips a torn line like
-any other corrupt one, and the next append starts a new line after it.
+into place: the completion cache's `completions.jsonl`. Each entry starts with
+its own newline and is appended in one unbuffered write; nothing is read
+first. A kill leaves at most a torn line, which the next entry's newline
+ends, whoever appends it and whenever. The log is never cut: `read_log`
+skips a torn line like any other corrupt one, and blank lines.
 """
 
 from __future__ import annotations
@@ -145,18 +146,12 @@ def read_log(path):
 
 def open_log(path):
     """Open the append-only log at `path` for `append_line`, creating it."""
-    return open(path, "a+b", buffering=0)  # readable too, for the last byte
+    return open(path, "ab", buffering=0)
 
 
 def append_line(log, text: str) -> None:
-    """Append `text` and a newline to a log from `open_log` in one write. If
-    the log does not end in a newline, its last line is torn or another
-    process is still appending it, so the line starts with a newline. The
-    last byte is read before every append, not once at open: another writer
-    may have died mid-line since."""
-    fd = log.fileno()
-    size = os.fstat(fd).st_size
-    lead = b"\n" if size and os.pread(fd, 1, size - 1) != b"\n" else b""
-    data = lead + (text + "\n").encode("utf-8")
+    """Append `text` to a log from `open_log` as one entry, in one write: a
+    newline, the text and a newline."""
+    data = ("\n" + text + "\n").encode("utf-8")
     if log.write(data) != len(data):
         raise OSError(f"{log.name}: short write to an append-only log")

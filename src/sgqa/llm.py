@@ -298,12 +298,13 @@ class CompletionCache:
     into an in-memory index at open.
 
     Crash contract:
-    - Every complete line is a valid entry: `put` appends its line in one
-      write, under a lock, and indexes it.
-    - The log is never cut. A corrupt or mistyped line, such as a torn last
-      line (a put killed mid-write), is skipped with a warning; its request
-      is generated again on the next miss. A put that finds the log ending
-      mid-line starts a new line. Of two lines with one key, the later wins.
+    - `put` appends its entry in one write, under a lock, and indexes it.
+      Each entry starts with its own newline, which ends any torn line a
+      writer left, so every entry whose write completed is read back.
+    - The log is never cut. A corrupt or mistyped line, such as a torn one
+      (a put killed mid-write), is skipped with a warning; its request is
+      generated again on the next miss. Of two lines with one key, the
+      later wins.
     - The one-file-per-completion `objects/` directory of earlier versions
       is not read.
 

@@ -97,6 +97,8 @@ class RunConfig:
             raise UsageError(f"unknown split {self.split!r}")
         if self.backend not in ("replay", "live"):
             raise UsageError(f"unknown backend {self.backend!r}")
+        if self.workers < 1:
+            raise UsageError("workers must be at least 1")
 
 
 _STATUS_RANK = {"pending": 0, "extracted": 1, "answered": 2}
@@ -306,7 +308,7 @@ def _run_stage(config: RunConfig, stage: str, filename: str, status: str, step) 
 
         path = out_dir / filename
         # Closing the outcomes cancels the steps not yet started if the write fails.
-        with ThreadPoolExecutor(max_workers=max(config.workers, 1)) as pool, closing(
+        with ThreadPoolExecutor(max_workers=config.workers) as pool, closing(
                 pool.map(run, records) if config.workers > 1
                 else (run(record) for record in records)) as outcomes:
             write_jsonl(path, rows(outcomes))

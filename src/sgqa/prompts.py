@@ -232,8 +232,6 @@ def select_demos(demos: list[Demonstration], kind: str, count: int) -> list[Demo
 
 def default_demo_file(kind: str):
     """Path to the packaged demonstration fixture for `kind`."""
-    if kind not in DEMO_KINDS:
-        raise ValueError(f"unknown demonstration kind {kind!r}")
     return resources.files("sgqa").joinpath(f"fixtures/demos/{kind}.jsonl")
 
 

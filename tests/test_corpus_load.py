@@ -257,6 +257,7 @@ GOOD = json.dumps(_record("good"))
 TRUNCATED = f'[{GOOD}, {json.dumps(_record("bad", answer=""))}, {GOOD}'.encode()
 JSON_ERROR = f'[{GOOD[:-1]}, "x": }}, {GOOD}, {GOOD}]'.encode()
 EXTRA = f"[{GOOD}] x".encode()
+NO_COMMA = f"[{GOOD} {GOOD}]".encode()
 # Each file has a fault the stream meets first and one the one-shot parse
 # meets first; the one-shot parse's fault is reported.
 FIRST_FAULTS = {
@@ -266,6 +267,8 @@ FIRST_FAULTS = {
         JSON_ERROR[:-20] + b"\xff" + JSON_ERROR[-19:],
         f"not UTF-8 at byte offset {len(JSON_ERROR) - 20}: invalid start byte"),
     "extra data": (EXTRA, f"malformed JSON at byte offset {len(EXTRA) - 1}: Extra data"),
+    "no comma between records": (
+        NO_COMMA, f"malformed JSON at byte offset {len(GOOD) + 2}: Expecting ',' delimiter"),
 }
 
 

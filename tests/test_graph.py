@@ -108,6 +108,12 @@ def test_parse_triples_rejects_two_fields():
     assert report.rejected_lines == ((1, "(A, B)", "arity"),)
 
 
+def test_parse_triples_rejects_an_empty_field():
+    triples, report = parse_triples("(a, , b)")
+    assert triples == []
+    assert report.rejected_lines == ((1, "(a, , b)", "empty field"),)
+
+
 def test_parse_triples_rejects_missing_parens():
     _, report = parse_triples("A, r, B")
     assert report.rejected_lines[0][2] == "parens"

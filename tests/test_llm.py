@@ -141,7 +141,8 @@ def test_cache_distinguishes_temperature(tmp_path):
 
 
 def log_lines(cache):
-    return cache.path.read_text(encoding="utf-8").splitlines()
+    """The log's nonblank lines: each entry starts with its own newline."""
+    return [line for line in cache.path.read_text(encoding="utf-8").splitlines() if line]
 
 
 def test_cache_corruption_regenerates(tmp_path, caplog):
@@ -205,7 +206,7 @@ def test_cache_drops_torn_last_line(tmp_path, caplog):
     whole = cache.path.read_bytes()
 
     with caplog.at_level("WARNING"), CompletionCache(tmp_path / "cache") as cache:
-        assert f"{cache.path}:2: corrupt line skipped" in caplog.text
+        assert f"{cache.path}:3: corrupt line skipped" in caplog.text
         assert cache.path.read_bytes() == whole  # skipped, not cut off
         assert cache.get(request_key(first))["text"] == "one"
         assert cache.get(request_key(torn)) is None
@@ -251,8 +252,33 @@ def test_put_after_another_writer_died_mid_line_is_kept(tmp_path, caplog):
         assert cache.get("k0") == {"text": "zero", "backend_id": "replay"}
         assert cache.get("k1") is None
         assert cache.get("k2") == {"text": "two", "backend_id": "replay"}
-    assert f"{cache.path}:2: corrupt line skipped" in caplog.text
+    assert f"{cache.path}:3: corrupt line skipped" in caplog.text
     assert len(log_lines(cache)) == 3
+
+
+class DyingWriterBeforeEachWrite:
+    """A log proxy whose `write` first lets another writer append part of a
+    line and die, after anything the put may have read of the log."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __getattr__(self, name):  # fileno, name, close
+        return getattr(self.log, name)
+
+    def write(self, data):
+        with open(self.log.name, "ab") as other:
+            other.write(b'{"key": "kX", "text": "v')
+        return self.log.write(data)
+
+
+def test_put_just_after_another_writer_died_mid_line_is_kept(tmp_path):
+    with CompletionCache(tmp_path / "cache") as cache:
+        cache._log = DyingWriterBeforeEachWrite(cache._log)
+        cache.put("k1", "one", "replay")
+    with CompletionCache(tmp_path / "cache") as cache:
+        assert cache.get("k1") == {"text": "one", "backend_id": "replay"}
+        assert cache.get("kX") is None
 
 
 def test_cache_skips_corrupt_middle_line(tmp_path, caplog):
@@ -266,8 +292,8 @@ def test_cache_skips_corrupt_middle_line(tmp_path, caplog):
 
     with caplog.at_level("WARNING"), CompletionCache(tmp_path / "cache") as cache:
         assert [cache.get(request_key(r))["text"] for r in requests] == ["A", "B"]
-    assert f"{cache.path}:2: corrupt line skipped" in caplog.text
-    assert f"{cache.path}:3: not a cache entry" in caplog.text
+    assert f"{cache.path}:3: corrupt line skipped" in caplog.text
+    assert f"{cache.path}:4: not a cache entry" in caplog.text
     assert len(log_lines(cache)) == 4
 
 

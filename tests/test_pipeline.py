@@ -117,7 +117,7 @@ def test_rerun_regenerates_mistyped_cache_entry_once(tmp_path, monkeypatch, capl
     expected = pipeline.run_extract(config).read_bytes()
     log = Path(config.cache_dir) / "completions.jsonl"
     lines = log.read_text(encoding="utf-8").splitlines()
-    lines[0] = json.dumps({**json.loads(lines[0]), "text": None})
+    lines[1] = json.dumps({**json.loads(lines[1]), "text": None})  # line 1 is blank
     log.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     counting = ReplayBackend.from_file(config.replay_file)
@@ -125,7 +125,7 @@ def test_rerun_regenerates_mistyped_cache_entry_once(tmp_path, monkeypatch, capl
     config2 = make_config(tmp_path, output_dir=str(tmp_path / "run2"))
     with caplog.at_level("WARNING"):
         assert pipeline.run_extract(config2).read_bytes() == expected
-    assert f"{log}:1: not a cache entry; skipped" in caplog.text
+    assert f"{log}:2: not a cache entry; skipped" in caplog.text
     assert counting.calls == 1
     assert RunManifest(Path(config2.output_dir) / "manifest.json").failed() == []
 
@@ -834,6 +834,7 @@ def test_cli_config_file_rejects_unknown_key(tmp_path):
     ('{"variant": "nope"}', "'nope' is not a valid PromptVariant"),
     ('{"split": "train"}', "unknown split 'train'"),
     ('{"backend": "grpc"}', "unknown backend 'grpc'"),
+    ('{"workers": 0}', "workers must be at least 1"),
 ])
 def test_cli_names_faulty_config_file(tmp_path, capsys, text, error):
     config_file = tmp_path / "config.json"
@@ -858,6 +859,8 @@ def test_cli_names_faulty_config_file(tmp_path, capsys, text, error):
                  "the base variant takes no graphs", id="base-with-graphs"),
     pytest.param(["--replay-file", E2E / "replay.jsonl", "--split", "dev", "--dev-n", "-1"],
                  "split sizes must be non-negative", id="negative-split-size"),
+    pytest.param(["--replay-file", E2E / "replay.jsonl", "--workers", "-3"],
+                 "workers must be at least 1", id="negative-workers"),
 ])
 def test_cli_answer_rejects_unusable_run_before_any_output(tmp_path, capsys, args, error):
     code = run_cli(["answer", "--dataset", E2E / "dataset.json", "--variant", "base", *args,
@@ -865,6 +868,29 @@ def test_cli_answer_rejects_unusable_run_before_any_output(tmp_path, capsys, arg
     assert code == 2
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_config_with_unknown_dataset_format_fails_before_any_output(tmp_path, capsys):
+    config_file = tmp_path / "config.json"
+    config_file.write_text('{"format": "squad"}')
+    code = run_cli(["answer", "--dataset", E2E / "dataset.json", "--variant", "base",
+                    "--replay-file", E2E / "replay.jsonl", "--cache-dir", tmp_path / "cache",
+                    "--output-dir", tmp_path / "run", "--config", config_file])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: unknown dataset format 'squad'; expected one of ('hotpotqa', '2wiki')\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_verbose_logs_each_raw_request(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(sgqa.__file__).resolve().parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-m", "sgqa.cli", "-v", "extract", "--dataset", E2E / "dataset.json",
+         "--variant", "sg-multi", "--replay-file", E2E / "replay.jsonl",
+         "--cache-dir", tmp_path / "cache", "--model", MODEL, "--output-dir", tmp_path / "run"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "DEBUG sgqa.llm: raw request (key=" in result.stderr
 
 
 def test_cli_report_without_metric_tables_fails(tmp_path, capsys):
@@ -1093,6 +1119,9 @@ BAD_GRAPH_ROWS = {
         "graph: field 'triples' must be an array of arrays of 3 strings"),
     "negative index": (lambda row: {**row, "paragraph_index": -1},
                        "negative paragraph_index -1"),
+    "relation with a newline": (
+        lambda row: {**row, "graph": {**row["graph"], "triples": [["a", "in\nto", "b"]]}},
+        "graph: relation must not contain newlines"),
     "entities-only graph": (
         lambda row: {**row, "graph": {**row["graph"], "variant": "entities", "triples": []}},
         "graph: 'entities' is not a valid PromptVariant"),
