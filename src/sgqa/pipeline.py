@@ -3,12 +3,16 @@
 The method is two per-item LLM steps: `extract_paragraph_graph` builds one
 gold paragraph's semantic graph, and `answer_question` answers one question
 with a prompt that carries those graphs. `_run_stage` is the one driver of a
-backend stage: it loads the records, builds the backend, opens the completion
-cache, maps a per-record step over the records, records a failing step's
-reason and writes the rows and the manifest. The rows stream into the output
-file as each step's outcome arrives, in input order, so no stage holds its
-whole output. `run_extract` and `run_answer` hold only their own checks,
-their demonstrations and that step.
+backend stage: over the records its caller loaded, it builds the backend,
+opens the completion cache, maps a per-record step over the records, records
+a failing step's reason and writes the rows and the manifest. The rows stream
+into the output file as each step's outcome arrives, in input order, so no
+stage holds its whole output. `run_extract` and `run_answer` hold only their
+own checks, their demonstrations and that step.
+
+Questions that share a gold paragraph share its graph: `run_extract` builds
+it once and keeps it during the stage only if more than one question uses
+that paragraph, and `load_graphs` hands out equal graphs as one object.
 
 `run_evaluate` scores the predictions in one pass with running sums per
 variant/setting group, and `read_predictions` gives its rows one shared
@@ -33,6 +37,7 @@ import dataclasses
 import io
 import json
 import logging
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
@@ -274,15 +279,15 @@ def answer_question(
     }
 
 
-def _run_stage(config: RunConfig, stage: str, filename: str, status: str, step) -> Path:
-    """Run one backend stage: load the records, build the backend, write the
+def _run_stage(config: RunConfig, records: list[corpus.QuestionRecord], stage: str,
+               filename: str, status: str, step) -> Path:
+    """Run one backend stage over `records`: build the backend, write the
     manifest, map `step(record, backend, cache)` over the records in input
     order, stream the rows it returns into <output_dir>/<filename> as each
     step's outcome arrives, marking its record `status` or failed, and once
     the file is written save the manifest once more. A step returns (rows,
     None) or (None, failure reason); one that raises fails its record with
     the reason "<stage>: <exception>"."""
-    records = load_records(config)
     backend = make_backend(config)
     with closing(backend), CompletionCache(config.cache_dir) as cache:
         out_dir = Path(config.output_dir)
@@ -317,24 +322,41 @@ def _run_stage(config: RunConfig, stage: str, filename: str, status: str, step) 
 
 
 def run_extract(config: RunConfig) -> Path:
-    """Extract a semantic graph per gold paragraph; writes graphs.jsonl."""
+    """Extract a semantic graph per gold paragraph; writes graphs.jsonl.
+
+    Each distinct gold paragraph's graph is built once and, only if more than
+    one question uses that paragraph, kept for the rest of the stage. Two
+    workers may both build a new shared paragraph: the cache's single-flight
+    makes one backend call, and the equal rows serialise alike. A failed
+    extraction is not kept, so the paragraph's next question retries it."""
     if config.variant is PromptVariant.BASE:
         raise UsageError("the base variant has no extraction stage")
     demos = {kind: prompts.demo_set(kind, config.demo_dir)
              for kind in EXTRACTION_DEMO_KINDS[config.variant]}
+    records = load_records(config)
+    # Each gold paragraph used more than once (counted without gold_paragraphs'
+    # warning), with its graph row once one is built.
+    shared: dict[corpus.Paragraph, dict | None] = dict.fromkeys(
+        p for p, uses in Counter(p for r in records for p in r.context
+                                 if p.title in r.supporting_titles).items() if uses > 1)
+
+    def graph_row(paragraph: corpus.Paragraph, backend, cache: CompletionCache) -> dict:
+        built = shared.get(paragraph)
+        if built is None:
+            built = graph_mod.graph_to_dict(extract_paragraph_graph(
+                paragraph, config.variant, demos, backend, cache, config.model_id))
+            if paragraph in shared:
+                shared[paragraph] = built
+        return built
 
     def step(record: corpus.QuestionRecord, backend, cache: CompletionCache):
         return [
-            {
-                "question_id": record.id,
-                "paragraph_index": index,
-                "graph": graph_mod.graph_to_dict(extract_paragraph_graph(
-                    paragraph, config.variant, demos, backend, cache, config.model_id)),
-            }
+            {"question_id": record.id, "paragraph_index": index,
+             "graph": graph_row(paragraph, backend, cache)}
             for index, paragraph in enumerate(corpus.gold_paragraphs(record))
         ], None
 
-    return _run_stage(config, "extract", "graphs.jsonl", "extracted", step)
+    return _run_stage(config, records, "extract", "graphs.jsonl", "extracted", step)
 
 
 def _read_graphs(path):
@@ -354,9 +376,12 @@ def _read_graphs(path):
 
 
 def load_graphs(path) -> dict[str, dict[int, graph_mod.SemanticGraph]]:
+    """Each question's graphs by paragraph index. Equal graphs are handed out
+    as one object, so questions that share a gold paragraph share its graph."""
     graphs: dict[str, dict[int, graph_mod.SemanticGraph]] = {}
+    distinct: dict[graph_mod.SemanticGraph, graph_mod.SemanticGraph] = {}
     for _, question_id, index, graph in _read_graphs(path):
-        graphs.setdefault(question_id, {})[index] = graph
+        graphs.setdefault(question_id, {})[index] = distinct.setdefault(graph, graph)
     return graphs
 
 
@@ -385,7 +410,8 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
         return [answer_question(record, graphs, config.variant, config.setting, demos,
                                 backend, cache, config.model_id)], None
 
-    return _run_stage(config, "answer", "predictions.jsonl", "answered", step)
+    return _run_stage(config, load_records(config), "answer", "predictions.jsonl", "answered",
+                      step)
 
 
 def read_predictions(paths) -> list[dict]:

@@ -145,6 +145,92 @@ def test_run_extract_reads_only_the_demos_its_variant_uses(tmp_path, variant, ki
     assert pipeline.run_extract(config).read_bytes() == expected
 
 
+SHARED = 4  # e2e-05, whose gold paragraphs no demo quotes
+
+
+@pytest.fixture
+def reuse_config(tmp_path):
+    """The e2e fixture plus a copy of e2e-05 under a new id. The copy's
+    requests are e2e-05's, so replay.jsonl serves them."""
+    data = json.loads((E2E / "dataset.json").read_text(encoding="utf-8"))
+    data.append({**data[SHARED], "_id": "e2e-05-copy"})
+    dataset = tmp_path / "reuse.json"
+    dataset.write_text(json.dumps(data), encoding="utf-8")
+    return make_config(tmp_path, dataset_path=str(dataset))
+
+
+def rows_of(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def rows_without_id(rows, question_id):
+    return [{**row, "question_id": None} for row in rows if row["question_id"] == question_id]
+
+
+def test_questions_sharing_a_gold_paragraph_share_its_graph(reuse_config, monkeypatch):
+    extract, titles = pipeline.extract_paragraph_graph, []
+
+    def counting(paragraph, *args):
+        titles.append(paragraph.title)
+        return extract(paragraph, *args)
+
+    monkeypatch.setattr(pipeline, "extract_paragraph_graph", counting)
+    graphs_path = pipeline.run_extract(reuse_config)
+    assert len(titles) == len(set(titles)) == 20  # for 22 gold paragraphs
+    by_qid = pipeline.load_graphs(graphs_path)
+    assert len(by_qid["e2e-05"]) == 2
+    assert all(by_qid["e2e-05-copy"][i] is graph for i, graph in by_qid["e2e-05"].items())
+    graphs = rows_of(graphs_path)
+    assert rows_without_id(graphs, "e2e-05-copy") == rows_without_id(graphs, "e2e-05")
+    predictions = rows_of(pipeline.run_answer(reuse_config))
+    assert len(predictions) == 11
+    assert rows_without_id(predictions, "e2e-05-copy") == rows_without_id(predictions, "e2e-05")
+
+
+def test_failed_extraction_of_a_shared_paragraph_is_retried_by_its_next_question(
+    tmp_path, reuse_config, records, monkeypatch
+):
+    clean = make_config(tmp_path, output_dir=str(tmp_path / "clean"),
+                        cache_dir=str(tmp_path / "clean-cache"))
+    expected = rows_without_id(rows_of(pipeline.run_extract(clean)), "e2e-05")
+    doomed = corpus.gold_paragraphs(records[SHARED])[0].text
+    failed = []
+
+    class FailsOnce(ReplayBackend):
+        def complete(self, request):
+            if doomed in request.prompt and not failed:
+                failed.append(request)
+                raise RuntimeError("backend down")
+            return super().complete(request)
+
+    fixtures = ReplayBackend.from_file(reuse_config.replay_file)._fixtures
+    monkeypatch.setattr(pipeline, "make_backend", lambda _config: FailsOnce(fixtures))
+    graphs = rows_of(pipeline.run_extract(reuse_config))
+    assert failed
+    assert RunManifest(Path(reuse_config.output_dir) / "manifest.json").failed() == [
+        ("e2e-05", "extract: backend down")]
+    assert rows_without_id(graphs, "e2e-05") == []
+    assert rows_without_id(graphs, "e2e-05-copy") == expected != []
+
+
+def test_workers_do_not_change_output_of_shared_paragraphs(tmp_path, reuse_config):
+    """Workers share the kept graphs; a short switch interval makes two of
+    them race to build the shared paragraph more often."""
+    outputs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 8):
+            config = dataclasses.replace(reuse_config, workers=workers,
+                                         output_dir=str(tmp_path / f"workers-{workers}"),
+                                         cache_dir=str(tmp_path / f"cache-{workers}"))
+            outputs[workers] = (pipeline.run_extract(config).read_bytes(),
+                                pipeline.run_answer(config).read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[2] == outputs[1] and outputs[8] == outputs[1]
+
+
 # --------------------------------------------------------------- answer
 
 def test_run_answer_base_cot(tmp_path, records):
