@@ -58,8 +58,6 @@ class DatasetSchemaError(ValueError):
     """A record is missing or mistypes a required field."""
 
     def __init__(self, index: int | None, field_name: str, detail: str = ""):
-        self.index = index
-        self.field_name = field_name
         where = "top-level" if index is None else f"record {index}"
         msg = f"{where}: bad field '{field_name}'"
         if detail:

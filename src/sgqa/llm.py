@@ -6,8 +6,8 @@ fixtures, which makes every pipeline run a pure function of its inputs.
 Completions are cached keyed by a digest of the full request, so interrupted
 runs resume without new calls. The cache is one append-only log indexed in
 memory (the log-structured hash table of Bitcask, Sheehy & Smith 2010), and
-concurrent misses on one key share one backend call. Replay fixtures are written through `jsonl.write_jsonl`, so a
-fixture file is whole or unchanged.
+concurrent misses on one key share one backend call. Replay fixtures are
+written through `jsonl.write_jsonl`, so a fixture file is whole or unchanged.
 """
 
 from __future__ import annotations
@@ -181,9 +181,11 @@ class HTTPBackend:
     RETRY_AFTER_MAX seconds fails the call at once, without sleeping.
 
     Unless a `session` is given, requests go through a
-    `transport.KeepAliveSession`, which keeps connections open between calls
-    until `close`. An endpoint or key that no request could carry raises
-    `ValueError` here, before any request.
+    `transport.KeepAliveSession` bound to `endpoint`, which keeps connections
+    open between calls until `close`. An endpoint that is not http(s), or
+    that no request could carry, raises `ValueError` here, before any
+    request, and so does a key that no header could carry. A `session` given
+    is already bound to its endpoint; `endpoint` then only names the backend.
     """
 
     def __init__(self, endpoint: str, session=None, timeout: float = 120.0,
@@ -191,17 +193,14 @@ class HTTPBackend:
         from . import transport  # imported only here, so a replay run never loads it
 
         api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
-        if transport.BAD_TARGET.search(endpoint):
-            raise ValueError(f"endpoint {endpoint!r} holds a space, a control character "
-                             "or a character outside Latin-1")
         if transport.BAD_FIELD.search(api_key):  # never print the key
             raise ValueError(f"{API_KEY_ENV} holds a control character or a character "
                              "outside Latin-1, which no HTTP header can carry")
         self._owns_session = session is None
-        self._session = transport.KeepAliveSession() if session is None else session
-        self._endpoint = endpoint
-        self._timeout = timeout
-        self._api_key = api_key
+        if session is None:
+            headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
+            session = transport.KeepAliveSession(endpoint, headers, timeout)
+        self._session = session
         self.backend_id = f"http:{endpoint}"
 
     def complete(self, request: GenerationRequest) -> str:
@@ -212,16 +211,11 @@ class HTTPBackend:
             "temperature": request.temperature,
             "stop": list(request.stop_sequences) or None,
         }
-        headers = {"Content-Type": "application/json"}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
         last_error = None
         for attempt in range(RETRY_ATTEMPTS):
             retry_after = None
             try:
-                response = self._session.post(
-                    self._endpoint, json=body, headers=headers, timeout=self._timeout
-                )
+                response = self._session.post(body)
                 if response.status_code == 429 or response.status_code >= 500:
                     last_error = BackendError(
                         f"HTTP {response.status_code}: {response.text[:200]}"
@@ -263,13 +257,12 @@ class HTTPBackend:
 
 def _retry_after(response) -> float | None:
     """The wait a 429 or 503 response asks for in a Retry-After header given
-    in seconds; None for another status, no header or an HTTP-date. The
-    header's name may be in any letter case. Raises
-    BackendError for a wait above RETRY_AFTER_MAX."""
+    in seconds; None for another status, no header or an HTTP-date. Header
+    names are lower-cased, as the transport reads them. Raises BackendError
+    for a wait above RETRY_AFTER_MAX."""
     if response.status_code not in (429, 503):
         return None
-    value = next((value for name, value in response.headers.items()
-                  if name.lower() == "retry-after"), "").strip()
+    value = response.headers.get("retry-after", "").strip()
     if not value.isdecimal():
         return None
     if float(value) > RETRY_AFTER_MAX:

@@ -43,7 +43,6 @@ from contextlib import closing
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from urllib.parse import urlsplit
 
 from . import chain as chain_mod
 from . import corpus, graph as graph_mod, grounding, metrics, prompts
@@ -196,10 +195,6 @@ def make_backend(config: RunConfig):
         return ReplayBackend.from_file(config.replay_file)
     if not config.endpoint:
         raise UsageError("live backend needs --endpoint")
-    if urlsplit(config.endpoint).scheme not in ("http", "https"):
-        raise UsageError(
-            f"live backend endpoint {config.endpoint!r} needs an http:// or https:// scheme"
-        )
     try:
         return HTTPBackend(config.endpoint)
     except ValueError as exc:  # an endpoint or key that no request could carry

@@ -1,13 +1,14 @@
 """The HTTP client of `llm.HTTPBackend`, from the standard library.
 
-`KeepAliveSession.post` sends a JSON body and reads the whole response over
-connections that stay open between requests, the HTTP/1.1 default (RFC 9112
-§9.3). `http.client` only opens a connection: the TCP connect, a CONNECT
-tunnel through an https proxy, and TLS with hostname checks. Each request is
-then written in one `sendall`, and each response framed (RFC 9112 §§2–7) from
-one buffered reader that the connection keeps while idle. `llm` imports this
-module only when it builds a live backend, so a replay run never loads
-`http.client` or `ssl`.
+A `KeepAliveSession` is bound to one URL, its headers and its timeout, and
+checks them once, when it is built. `KeepAliveSession.post` sends a JSON body
+and reads the whole response over connections that stay open between
+requests, the HTTP/1.1 default (RFC 9112 §9.3). `http.client` only opens a
+connection: the TCP connect, a CONNECT tunnel through an https proxy, and TLS
+with hostname checks. Each request is then written in one `sendall`, and each
+response framed (RFC 9112 §§2–7) from one buffered reader that the connection
+keeps while idle. `llm` imports this module only when it builds a live
+backend, so a replay run never loads `http.client` or `ssl`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ _CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;[^\r\n]*)?\r?\n")
 # Characters refused in a request target (a space too), and in a header name
 # or value (which may hold a tab): control characters, so that no caller's
 # string can end a line early, and any character outside Latin-1, the head's
-# encoding. `llm.HTTPBackend` checks its endpoint and key with these too.
+# encoding. A session checks its URL with the first, once; `llm.HTTPBackend`
+# checks its key with the second.
 # Each lists what it allows, which compiles far faster than a range to U+10FFFF.
 BAD_TARGET = re.compile(r"[^\x21-\x7e\x80-\xff]")
 BAD_FIELD = re.compile(r"[^\t\x20-\x7e\x80-\xff]")
@@ -56,12 +58,12 @@ class Response:
 
 
 class _Connection:
-    """An open connection: its socket, the one buffered reader over it, the
-    Host header and the prefix that its request targets take."""
+    """An open connection: its socket, the one buffered reader over it, and
+    the start of each request head it sends, up to the Content-Length value."""
 
-    __slots__ = ("sock", "reader", "host", "prefix")
+    __slots__ = ("sock", "reader", "start")
 
-    def __init__(self, conn: http.client.HTTPConnection, host: str, prefix: str):
+    def __init__(self, conn: http.client.HTTPConnection, start: bytes):
         try:
             conn.connect()
         except BaseException:
@@ -69,8 +71,7 @@ class _Connection:
             raise
         self.sock = conn.sock
         self.reader = self.sock.makefile("rb")
-        self.host = host
-        self.prefix = prefix
+        self.start = start
 
     def close(self):
         self.reader.close()
@@ -78,16 +79,23 @@ class _Connection:
 
 
 class KeepAliveSession:
-    """JSON POSTs over kept-alive HTTP/1.1 connections.
+    """JSON POSTs to one URL over kept-alive HTTP/1.1 connections.
 
-    Idle connections wait in a list per origin, under a lock. A request takes
-    one or else opens one, and gives it back once the body is read, unless
-    the response ends the connection. So there are never more connections
-    than requests in flight at once. A server may close an idle connection
-    at any time: a reused connection that is reset or ends, or whose send
-    breaks the pipe, before a status line arrives is closed, and the request
-    is sent once more on a new connection. That resend is not an attempt of
-    the caller's. Any other failure, a framing error included, closes the
+    The URL, the header lines and the timeout are fixed when the session is
+    built. A URL that is not http(s), or that holds a character `BAD_TARGET`
+    matches, raises `ValueError` there, so no request checks it again. The
+    caller's `headers` must match no `BAD_FIELD` character and must not name
+    Host, Accept-Encoding or Content-Length; Content-Type is
+    application/json unless they name it.
+
+    Idle connections wait in one list, under a lock. A request takes one or
+    else opens one, and gives it back once the body is read, unless the
+    response ends the connection. So there are never more connections than
+    requests in flight at once. A server may close an idle connection at any
+    time: a reused connection that is reset or ends, or whose send breaks the
+    pipe, before a status line arrives is closed, and the request is sent
+    once more on a new connection. That resend is not an attempt of the
+    caller's. Any other failure, a framing error included, closes the
     connection and is raised.
 
     `http_proxy`, `https_proxy` and `no_proxy` are read when a connection
@@ -96,35 +104,38 @@ class KeepAliveSession:
     sent. HTTPS verifies certificates against the system's trust store.
     """
 
-    def __init__(self):
+    def __init__(self, url: str, headers: dict[str, str], timeout: float | None):
+        if BAD_TARGET.search(url):
+            raise ValueError(f"endpoint {url!r} holds a space, a control character "
+                             "or a character outside Latin-1")
+        self._url = urlsplit(url)
+        if self._url.scheme not in ("http", "https"):
+            raise ValueError(f"endpoint {url!r} needs an http:// or https:// scheme")
+        query = self._url.query
+        self._path = (self._url.path or "/") + (f"?{query}" if query else "")
+        fields = {"Content-Type": "application/json", **headers}
+        self._fields = "".join([f"{name}: {value}\r\n" for name, value in fields.items()]
+                               ).encode("latin-1")
+        self._timeout = timeout
         self._lock = threading.Lock()
-        # (scheme, netloc) -> its idle connections
-        self._idle: dict[tuple[str, str], list[_Connection]] = {}
+        self._idle: list[_Connection] = []
         self._tls: ssl.SSLContext | None = None
 
-    def post(self, url: str, json=None, headers=None, timeout: float | None = None) -> Response:
-        """POST `json` to `url` with the caller's `headers`, which must not
-        repeat Host, Accept-Encoding or Content-Length."""
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https"):
-            raise ValueError(f"unsupported URL scheme in {url!r}")
-        origin = (parts.scheme, parts.netloc)
-        path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        body = json_module.dumps(json, allow_nan=False).encode("utf-8")
-        headers = {"Content-Type": "application/json", **(headers or {})}
+    def post(self, payload) -> Response:
+        """POST `payload` as JSON and read the whole response."""
+        body = json_module.dumps(payload, allow_nan=False).encode("utf-8")
+        rest = b"%d\r\n%s\r\n%s" % (len(body), self._fields, body)
         with self._lock:
-            idle = self._idle.get(origin)
-            conn = idle.pop() if idle else None
+            conn = self._idle.pop() if self._idle else None
         head = None
         if conn is not None:
-            conn.sock.settimeout(timeout)
             try:
-                head = _send(conn, conn.prefix + path, body, headers)
+                head = _send(conn, conn.start + rest)
             except _STALE:
                 pass  # closed by the server while idle
         if head is None:
-            conn = self._connect(parts, timeout)
-            head = _send(conn, conn.prefix + path, body, headers)
+            conn = self._connect()
+            head = _send(conn, conn.start + rest)
         status, fields, keep_alive = head
         try:
             data, keep_alive = _read_body(conn.reader, status, fields, keep_alive)
@@ -133,51 +144,50 @@ class KeepAliveSession:
             raise
         if keep_alive:
             with self._lock:
-                self._idle.setdefault(origin, []).append(conn)
+                self._idle.append(conn)
         else:
             conn.close()
         return Response(status, data.decode("utf-8", "replace"), fields)
 
-    def _connect(self, parts, timeout) -> _Connection:
+    def _connect(self) -> _Connection:
         """A new connection to the URL's origin, through the proxy that the
-        environment names for its scheme unless `no_proxy` covers its host."""
-        proxy = None if proxy_bypass(parts.hostname or "") else getproxies().get(parts.scheme)
+        environment names for its scheme unless `no_proxy` covers its host.
+        The request line and Host header it sends are fixed here."""
+        scheme, netloc = self._url.scheme, self._url.netloc
+        proxy = None if proxy_bypass(self._url.hostname or "") else getproxies().get(scheme)
         if proxy is not None:
             proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}").netloc
             proxy = proxy.rpartition("@")[2]
-        if parts.scheme == "http":
-            host, prefix = (parts.netloc, "") if proxy is None else (proxy, f"http://{parts.netloc}")
-            return _Connection(http.client.HTTPConnection(host, timeout=timeout),
-                               parts.netloc, prefix)
-        if self._tls is None:
-            self._tls = ssl.create_default_context()
-        conn = http.client.HTTPSConnection(proxy or parts.netloc, timeout=timeout,
-                                           context=self._tls)
-        if proxy is not None:
-            conn.set_tunnel(parts.netloc)
-        return _Connection(conn, parts.netloc, "")
+        if scheme == "http":
+            host, prefix = (netloc, "") if proxy is None else (proxy, f"http://{netloc}")
+            conn = http.client.HTTPConnection(host, timeout=self._timeout)
+        else:
+            if self._tls is None:
+                self._tls = ssl.create_default_context()
+            conn = http.client.HTTPSConnection(proxy or netloc, timeout=self._timeout,
+                                               context=self._tls)
+            prefix = ""
+            if proxy is not None:
+                conn.set_tunnel(netloc)
+        start = (f"POST {prefix}{self._path} HTTP/1.1\r\nHost: {netloc}\r\n"
+                 "Accept-Encoding: identity\r\nContent-Length: ")
+        return _Connection(conn, start.encode("latin-1"))
 
     def close(self):
         """Close every idle connection. One in use when this is called is
         kept when its request gives it back."""
         with self._lock:
-            idle, self._idle = self._idle, {}
-        for conns in idle.values():
-            for conn in conns:
-                conn.close()
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
 
-def _send(conn: _Connection, target: str, body: bytes, headers: dict):
-    """Send one POST on `conn` in one write and read the head of its final
-    response: (status, headers, whether the connection may stay open). The
-    connection is closed if either fails."""
+def _send(conn: _Connection, request: bytes):
+    """Send one whole request on `conn` in one write and read the head of its
+    final response: (status, headers, whether the connection may stay open).
+    The connection is closed if either fails."""
     try:
-        if BAD_TARGET.search(target) or BAD_FIELD.search("".join([*headers, *headers.values()])):
-            raise ValueError("a control or non-Latin-1 character in the target or a header")
-        fields = "".join([f"{name}: {value}\r\n" for name, value in headers.items()])
-        head = (f"POST {target} HTTP/1.1\r\nHost: {conn.host}\r\nAccept-Encoding: identity\r\n"
-                f"Content-Length: {len(body)}\r\n{fields}\r\n")
-        conn.sock.sendall(head.encode("latin-1") + body)
+        conn.sock.sendall(request)
         return _read_head(conn.reader)
     except BaseException:
         conn.close()

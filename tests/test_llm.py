@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import socket
 import socketserver
 import sys
@@ -27,7 +28,7 @@ from sgqa.llm import (
     request_key,
     write_replay_fixture,
 )
-from sgqa import cli, transport
+from sgqa import cli, pipeline, transport
 
 E2E = Path(__file__).parent / "data" / "e2e"
 
@@ -383,8 +384,8 @@ class StubSession:
         self.responses = list(responses)
         self.requests = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append((url, json, headers))
+    def post(self, payload):
+        self.requests.append(payload)
         result = self.responses.pop(0)
         if isinstance(result, Exception):
             raise result
@@ -396,7 +397,8 @@ class StubResponse:
         self.status_code = status_code
         self._payload = payload
         self.text = text
-        self.headers = headers or {}
+        # names lower-cased, as the transport's framer reads them
+        self.headers = {name.lower(): value for name, value in (headers or {}).items()}
 
     def json(self):
         return self._payload
@@ -408,11 +410,23 @@ def test_http_backend_success():
                           api_key="secret")
     request = qa_request("prompt text", "model-x")
     assert backend.complete(request) == "hello"
-    url, body, headers = session.requests[0]
+    [body] = session.requests
     assert body["model"] == "model-x"
     assert body["stop"] == ["\n"]
     assert body["max_tokens"] == 512
-    assert headers["Authorization"] == "Bearer secret"
+
+
+@pytest.mark.parametrize("endpoint", [
+    "ftp://api.test/v1/completions", "api.test/v1/completions",
+])
+def test_http_backend_refuses_non_http_endpoint_when_built(monkeypatch, endpoint):
+    sleeps, connects = [], []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    monkeypatch.setattr(socket, "create_connection", lambda *a, **k: connects.append(a))
+    with pytest.raises(ValueError, match=f"endpoint {re.escape(repr(endpoint))} needs an "
+                                         "http:// or https:// scheme"):
+        HTTPBackend(endpoint, api_key="k")
+    assert sleeps == [] and connects == []
 
 
 def test_http_backend_retries_on_server_error(monkeypatch):
@@ -527,6 +541,8 @@ class _CompletionHandler(BaseHTTPRequestHandler):
 
     def setup(self):
         super().setup()
+        # the head and the body go out in two writes: no Nagle wait for the second
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with self.server.lock:
             self.server.connections += 1
 
@@ -536,7 +552,8 @@ class _CompletionHandler(BaseHTTPRequestHandler):
         with server.lock:
             server.requests.append((self.path, self.headers["Host"], body))
             status, headers = server.replies.pop(0) if server.replies else (200, {})
-        payload = json.dumps({"choices": [{"text": "ok"}]} if status == 200 else {}).encode()
+        payload = json.dumps({"choices": [{"text": server.answer(body)}]}
+                             if status == 200 else {}).encode()
         self.send_response(status)
         for name, value in headers.items():
             self.send_header(name, value)
@@ -557,8 +574,9 @@ class _CompletionHandler(BaseHTTPRequestHandler):
 
 class CompletionServer(ThreadingHTTPServer):
     """An in-thread completions server: it answers each POST with the next
-    of `replies`, (status, headers), or else with a 200 completion "ok", and
-    records the connections, requests and CONNECT tunnels it sees."""
+    of `replies`, (status, headers), or else with a 200 completion, the text
+    `answer(body)` gives ("ok" unless set), and records the connections,
+    requests and CONNECT tunnels it sees."""
 
     daemon_threads = True
 
@@ -570,6 +588,7 @@ class CompletionServer(ThreadingHTTPServer):
         self.tunnels = []
         self.replies = []
         self.close_after_reply = False
+        self.answer = lambda body: "ok"
         self.base = f"http://127.0.0.1:{self.server_address[1]}"
         self.url = f"{self.base}/v1/completions"
 
@@ -700,6 +719,42 @@ def test_cli_rejects_unsendable_key_or_endpoint_before_any_request(
     assert not (tmp_path / "run" / "predictions.jsonl").exists()
 
 
+def test_stages_over_http_match_the_replay_run(server, monkeypatch, tmp_path):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    monkeypatch.setenv("SGQA_API_KEY", "k")
+    fixtures = ReplayBackend.from_file(E2E / "replay.jsonl")
+
+    def rebuild(body):  # as benchmark/stub_server.py does
+        make = qa_request if body["stop"] == ["\n"] else extraction_request
+        return make(body["prompt"], body["model"])
+
+    server.answer = lambda body: fixtures.complete(rebuild(body))
+    server.replies = [(503, {"Retry-After": "0"})]
+    runs = {}
+    for name, backend in [("replay", {}), ("live", {"backend": "live", "endpoint": server.url})]:
+        config = pipeline.RunConfig(
+            dataset_path=str(E2E / "dataset.json"), variant="sg-multi", setting="cot",
+            replay_file=str(E2E / "replay.jsonl"), model_id="fixture-model",
+            cache_dir=str(tmp_path / name / "cache"), output_dir=str(tmp_path / name / "run"),
+            workers=2, **backend)
+        graphs = pipeline.run_extract(config)
+        predictions = pipeline.run_answer(config)
+        runs[name] = graphs.read_bytes(), [json.loads(line) for line in
+                                           predictions.read_text().splitlines()]
+    (replay_graphs, replay_rows), (live_graphs, live_rows) = runs["replay"], runs["live"]
+    assert live_graphs == replay_graphs
+    assert {row.pop("backend_id") for row in replay_rows} == {"replay"}
+    assert {row.pop("backend_id") for row in live_rows} == {f"http:{server.url}"}
+    assert live_rows == replay_rows and len(live_rows) == 10
+    # one request per distinct key, and the one the 503 made the client send again
+    keys = [request_key(rebuild(body)) for _, _, body in server.requests]
+    log = (tmp_path / "replay" / "cache" / "completions.jsonl").read_text().splitlines()
+    assert sorted(set(keys)) == sorted(json.loads(line)["key"] for line in log if line)
+    assert len(keys) == len(set(keys)) + 1
+    assert sleeps == [0.0]
+
+
 # --------------------------------------------------------------- HTTP/1.1 framing
 
 OK_BODY = b'{"choices": [{"text": "ok"}]}'
@@ -721,14 +776,17 @@ class _RawHandler(socketserver.StreamRequestHandler):
             line = self.rfile.readline()
             if not line:
                 return
+            received = [line]
             while line not in (b"\r\n", b""):
                 name, _, value = line.partition(b":")
                 if name.lower() == b"content-length":
                     length = int(value)
                 line = self.rfile.readline()
-            self.rfile.read(length)
+                received.append(line)
+            received.append(self.rfile.read(length))
             with server.lock:
                 server.requests += 1
+                server.received.append(b"".join(received))
                 reply, close = server.replies[0] if len(server.replies) == 1 else server.replies.pop(0)
             self.connection.sendall(reply)
             if close:
@@ -738,7 +796,8 @@ class _RawHandler(socketserver.StreamRequestHandler):
 class RawServer(socketserver.ThreadingTCPServer):
     """A server that answers each request with exact bytes: the next of
     `replies`, (bytes, close the connection after them), the last one
-    repeating. It counts the connections it accepts and the requests it reads."""
+    repeating. It counts the connections it accepts and the requests it reads,
+    and keeps each request's bytes in `received`."""
 
     daemon_threads = True
 
@@ -747,6 +806,7 @@ class RawServer(socketserver.ThreadingTCPServer):
         self.lock = threading.Lock()
         self.connections = 0
         self.requests = 0
+        self.received = []
         self.replies = [(ok_reply(), False)]
         self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/completions"
 
@@ -780,6 +840,25 @@ def call_twice(server, monkeypatch):
     finally:
         backend.close()
     return texts, len(sends)
+
+
+def test_request_bytes_on_the_wire(raw_server):
+    backend = HTTPBackend(raw_server.url, api_key="k", timeout=5)
+    try:
+        assert backend.complete(qa_request("p", "m")) == "ok"
+    finally:
+        backend.close()
+    body = b'{"model": "m", "prompt": "p", "max_tokens": 512, "temperature": 0.0, "stop": ["\\n"]}'
+    port = raw_server.server_address[1]
+    assert raw_server.received == [
+        b"POST /v1/completions HTTP/1.1\r\n"
+        b"Host: 127.0.0.1:%d\r\n"
+        b"Accept-Encoding: identity\r\n"
+        b"Content-Length: %d\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Authorization: Bearer k\r\n"
+        b"\r\n" % (port, len(body)) + body
+    ]
 
 
 def test_chunked_reply_with_extension_and_trailer(raw_server, monkeypatch):
