@@ -26,7 +26,6 @@ class ReasoningChain:
     """Reasoning sentences (answer sentence excluded) plus the extracted answer."""
 
     sentences: tuple[str, ...]
-    answer_sentence: str
     extracted_answer: str
     used_fallback: bool = False
 
@@ -86,7 +85,6 @@ def parse_chain(completion: str) -> ReasoningChain:
     reasoning = tuple(s for i, (_, s) in enumerate(sentences) if i != answer_idx)
     return ReasoningChain(
         sentences=reasoning,
-        answer_sentence=sentences[answer_idx][1],
         extracted_answer=answer,
         used_fallback=used_fallback,
     )

@@ -76,10 +76,8 @@ class Triple:
 
 @dataclass(frozen=True)
 class ParseReport:
-    """Accounting for one parse: accepted + rejected lines cover every nonblank
-    candidate line."""
+    """The candidate lines one parse rejected, each (line number, text, reason)."""
 
-    accepted: int
     rejected_lines: tuple[tuple[int, str, str], ...] = ()
 
 
@@ -135,8 +133,7 @@ def parse_entities(raw: str) -> tuple[list[Entity], ParseReport]:
             continue
         seen.add(text)
         entities.append(Entity(text))
-    report = ParseReport(accepted=len(entities), rejected_lines=tuple(rejected))
-    return entities, report
+    return entities, ParseReport(tuple(rejected))
 
 
 def _resolve_arity(fields: list[str], known: set[str]) -> tuple[str, str, str]:
@@ -194,7 +191,7 @@ def parse_triples(
             rejected.append((number, text, "empty field"))
             continue
         triples.append(Triple(Entity(subject), relation, Entity(obj)))
-    return triples, ParseReport(accepted=len(triples), rejected_lines=tuple(rejected))
+    return triples, ParseReport(tuple(rejected))
 
 
 def build_full_graph(entities: list[Entity], source_title: str = "") -> SemanticGraph:

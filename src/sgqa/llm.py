@@ -31,6 +31,7 @@ logger = logging.getLogger(__name__)
 # effectively unbounded (single-line stop) but real APIs need a number.
 EXTRACTION_MAX_TOKENS = 300
 QA_MAX_TOKENS_CAP = 512
+TEMPERATURE = 0.0  # every request is greedy; the key and the request body carry it
 
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY = 1.0
@@ -54,16 +55,7 @@ class GenerationRequest:
     model_id: str
     prompt: str
     max_tokens: int | None = None  # None: use the QA cap
-    temperature: float = 0.0
     stop_sequences: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-
-    @property
-    def effective_max_tokens(self) -> int:
-        return QA_MAX_TOKENS_CAP if self.max_tokens is None else self.max_tokens
 
     @property
     def key(self) -> str:
@@ -78,7 +70,7 @@ class GenerationRequest:
                     "model_id": self.model_id,
                     "prompt": self.prompt,
                     "max_tokens": self.max_tokens,
-                    "temperature": self.temperature,
+                    "temperature": TEMPERATURE,
                     "stop_sequences": list(self.stop_sequences),
                 },
                 sort_keys=True,
@@ -89,17 +81,12 @@ class GenerationRequest:
 
 
 def extraction_request(prompt: str, model_id: str) -> GenerationRequest:
-    return GenerationRequest(
-        model_id=model_id, prompt=prompt, max_tokens=EXTRACTION_MAX_TOKENS, temperature=0.0
-    )
+    return GenerationRequest(model_id=model_id, prompt=prompt, max_tokens=EXTRACTION_MAX_TOKENS)
 
 
 def qa_request(prompt: str, model_id: str) -> GenerationRequest:
     """QA requests stop at the first line break and carry no real token limit."""
-    return GenerationRequest(
-        model_id=model_id, prompt=prompt, max_tokens=None, temperature=0.0,
-        stop_sequences=("\n",),
-    )
+    return GenerationRequest(model_id=model_id, prompt=prompt, stop_sequences=("\n",))
 
 
 def request_key(request: GenerationRequest) -> str:
@@ -107,12 +94,13 @@ def request_key(request: GenerationRequest) -> str:
     return request.key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Completion:
+    """A completion cut at its request's first stop sequence, and the backend
+    that made it: the one value that the cache indexes and hands out."""
+
     text: str
     backend_id: str
-    cached: bool = False
-    latency: float = 0.0
 
 
 def _truncate_at_stop(text: str, stop_sequences: tuple[str, ...]) -> str:
@@ -128,15 +116,13 @@ class ReplayBackend:
     """Serves pre-recorded completions keyed by request digest.
 
     Fixture format: JSONL of {key, prompt_excerpt, text}; prompt_excerpt is
-    informational only. Call counts are tracked so tests can assert that the
-    cache prevented repeat calls.
+    informational only.
     """
 
     backend_id = "replay"
 
     def __init__(self, fixtures: dict[str, str]):
         self._fixtures = dict(fixtures)
-        self.calls = 0
 
     @classmethod
     def from_file(cls, path) -> "ReplayBackend":
@@ -145,7 +131,6 @@ class ReplayBackend:
                     for _, _, row in read_rows([path], {"key": str, "text": str})})
 
     def complete(self, request: GenerationRequest) -> str:
-        self.calls += 1
         key = request_key(request)
         try:
             return self._fixtures[key]
@@ -204,11 +189,12 @@ class HTTPBackend:
         self.backend_id = f"http:{endpoint}"
 
     def complete(self, request: GenerationRequest) -> str:
+        max_tokens = QA_MAX_TOKENS_CAP if request.max_tokens is None else request.max_tokens
         body = {
             "model": request.model_id,
             "prompt": request.prompt,
-            "max_tokens": request.effective_max_tokens,
-            "temperature": request.temperature,
+            "max_tokens": max_tokens,
+            "temperature": TEMPERATURE,
             "stop": list(request.stop_sequences) or None,
         }
         last_error = None
@@ -279,16 +265,15 @@ def generate(request: GenerationRequest, backend) -> Completion:
         logger.debug("raw request (key=%s):\n%s", request_key(request)[:12], request.prompt)
     start = time.monotonic()
     raw = backend.complete(request)
-    latency = time.monotonic() - start
-    logger.debug("raw response (%.3fs):\n%s", latency, raw)
-    text = _truncate_at_stop(raw, request.stop_sequences)
-    return Completion(text=text, backend_id=backend.backend_id, cached=False, latency=latency)
+    logger.debug("raw response (%.3fs):\n%s", time.monotonic() - start, raw)
+    return Completion(_truncate_at_stop(raw, request.stop_sequences), backend.backend_id)
 
 
 class CompletionCache:
     """Completions keyed by request digest, kept in one append-only log,
     cache_dir/completions.jsonl, of {key, text, backend_id} lines and read
-    into an in-memory index at open.
+    into an in-memory index of `Completion`s at open. A hit hands out the
+    indexed object itself.
 
     Crash contract:
     - `put` appends its entry in one write, under a lock, and indexes it.
@@ -309,10 +294,10 @@ class CompletionCache:
     def __init__(self, cache_dir):
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
         self.path = Path(cache_dir) / "completions.jsonl"
-        self._index: dict[str, tuple[str, str]] = {}  # key -> (text, backend_id)
+        self._index: dict[str, Completion] = {}
         for line_no, row in read_log(self.path):
             if row_fault(row, CACHE_ENTRY_FIELDS) is None:
-                self._index[row["key"]] = (row["text"], row["backend_id"])
+                self._index[row["key"]] = Completion(row["text"], row["backend_id"])
             else:
                 logger.warning("%s:%d: not a cache entry; skipped", self.path, line_no)
         self._log = open_log(self.path)
@@ -328,16 +313,15 @@ class CompletionCache:
     def __exit__(self, *exc_info):
         self.close()
 
-    def get(self, key: str) -> dict | None:
-        entry = self._index.get(key)
-        return None if entry is None else {"text": entry[0], "backend_id": entry[1]}
+    def get(self, key: str) -> Completion | None:
+        return self._index.get(key)
 
-    def put(self, key: str, text: str, backend_id: str):
-        line = json.dumps({"key": key, "text": text, "backend_id": backend_id},
-                          ensure_ascii=False)
+    def put(self, key: str, completion: Completion):
+        line = json.dumps({"key": key, "text": completion.text,
+                           "backend_id": completion.backend_id}, ensure_ascii=False)
         with self._lock:
             append_line(self._log, line)
-            self._index[key] = (text, backend_id)
+            self._index[key] = completion
             self._flights.pop(key, None)  # later callers read the index
 
     def fill(self, key: str, compute) -> Completion:
@@ -347,9 +331,9 @@ class CompletionCache:
         completion or its exception. A failure puts nothing, so the next
         call retries."""
         with self._lock:
-            entry = self._index.get(key)
-            if entry is not None:
-                return Completion(text=entry[0], backend_id=entry[1], cached=True)
+            completion = self._index.get(key)
+            if completion is not None:
+                return completion
             flight = self._flights.get(key)
             leader = flight is None
             if leader:
@@ -358,7 +342,7 @@ class CompletionCache:
             return flight.result()
         try:
             completion = compute()
-            self.put(key, completion.text, completion.backend_id)
+            self.put(key, completion)
         except BaseException as exc:
             with self._lock:
                 self._flights.pop(key, None)
@@ -372,7 +356,4 @@ def cached_generate(request: GenerationRequest, backend, cache: CompletionCache)
     """Serve from cache when possible; on a miss, generate and append before
     returning. Concurrent misses on one request share one backend call."""
     key = request_key(request)
-    entry = cache.get(key)
-    if entry is not None:
-        return Completion(text=entry["text"], backend_id=entry["backend_id"], cached=True)
-    return cache.fill(key, lambda: generate(request, backend))
+    return cache.get(key) or cache.fill(key, lambda: generate(request, backend))

@@ -82,11 +82,11 @@ class KeepAliveSession:
     """JSON POSTs to one URL over kept-alive HTTP/1.1 connections.
 
     The URL, the header lines and the timeout are fixed when the session is
-    built. A URL that is not http(s), or that holds a character `BAD_TARGET`
-    matches, raises `ValueError` there, so no request checks it again. The
-    caller's `headers` must match no `BAD_FIELD` character and must not name
-    Host, Accept-Encoding or Content-Length; Content-Type is
-    application/json unless they name it.
+    built. A URL that is not http(s), whose port is not a number in 0-65535,
+    or that holds a character `BAD_TARGET` matches, raises `ValueError`
+    there, so no request checks it again. The caller's `headers` must match
+    no `BAD_FIELD` character and must not name Host, Accept-Encoding or
+    Content-Length; Content-Type is application/json unless they name it.
 
     Idle connections wait in one list, under a lock. A request takes one or
     else opens one, and gives it back once the body is read, unless the
@@ -111,6 +111,10 @@ class KeepAliveSession:
         self._url = urlsplit(url)
         if self._url.scheme not in ("http", "https"):
             raise ValueError(f"endpoint {url!r} needs an http:// or https:// scheme")
+        try:
+            self._url.port  # a port that is not a number in 0-65535 raises
+        except ValueError as exc:
+            raise ValueError(f"endpoint {url!r}: {exc}") from None
         query = self._url.query
         self._path = (self._url.path or "/") + (f"?{query}" if query else "")
         fields = {"Content-Type": "application/json", **headers}

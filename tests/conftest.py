@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -10,6 +11,31 @@ def pytest_configure(config):
     when it is garbage-collected becomes an error."""
     config.addinivalue_line("filterwarnings", "error::ResourceWarning")
     config.addinivalue_line("filterwarnings", "error::pytest.PytestUnraisableExceptionWarning")
+
+
+class CountingBackend:
+    """A backend whose `complete` calls are counted under a lock, so that
+    worker threads sharing it lose no count."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.backend_id = backend.backend_id
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+        return self.backend.complete(request)
+
+    def close(self):
+        self.backend.close()
+
+
+@pytest.fixture
+def counted():
+    """`counted(backend)` is `backend` with its calls counted in `.calls`."""
+    return CountingBackend
 
 
 @pytest.fixture

@@ -30,29 +30,26 @@ element_text = st.text(
 def test_parse_entities_basic():
     entities, report = parse_entities("Tourism\nWindermere\nits proximity to the lake\n")
     assert [e.text for e in entities] == ["Tourism", "Windermere", "its proximity to the lake"]
-    assert report.accepted == 3
     assert report.rejected_lines == ()
 
 
 def test_parse_entities_empty():
     entities, report = parse_entities("")
     assert entities == []
-    assert report.accepted == 0
+    assert report.rejected_lines == ()
 
 
 def test_parse_entities_dedupes_preserving_first():
     entities, report = parse_entities("A\nA\nB")
     assert [e.text for e in entities] == ["A", "B"]
-    assert report.accepted == 2
     assert report.rejected_lines == ((2, "A", "duplicate"),)
-    assert report.accepted + len(report.rejected_lines) == 3
 
 
 def test_parse_entities_stops_at_section_marker():
     raw = "Alpha\nBeta\n\nDocument:\nWikipedia Title: Next\nGamma"
     entities, report = parse_entities(raw)
     assert [e.text for e in entities] == ["Alpha", "Beta"]
-    assert report.accepted + len(report.rejected_lines) == 2
+    assert report.rejected_lines == ()
 
 
 def test_parse_entities_strips_whitespace():
@@ -69,7 +66,7 @@ def test_parse_triples_three_fields():
     assert t.subject.text == "Windermere"
     assert t.relation == "is popular for"
     assert t.object.text == "its proximity to the lake"
-    assert report.accepted == 1
+    assert report.rejected_lines == ()
 
 
 def test_parse_triples_comma_subject_with_known_entities():
@@ -130,9 +127,8 @@ def test_parse_triples_fields_are_substrings_of_source():
 def test_parse_report_accounting():
     raw = "(A, r, B)\nnot a triple\n(C, D)\n\n(E, r2, F)"
     triples, report = parse_triples(raw)
-    assert report.accepted == len(triples) == 2
-    assert len(report.rejected_lines) == 2
-    assert report.accepted + len(report.rejected_lines) == 4
+    assert [str(t) for t in triples] == ["(A, r, B)", "(E, r2, F)"]
+    assert report.rejected_lines == ((2, "not a triple", "parens"), (3, "(C, D)", "arity"))
 
 
 # ---------------------------------------------------------------- graphs

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -15,12 +16,14 @@ import pytest
 
 from sgqa.llm import (
     BackendError,
+    Completion,
     CompletionCache,
     GenerationRequest,
     HTTPBackend,
     MissingFixtureError,
     RETRY_AFTER_MAX,
     ReplayBackend,
+    TEMPERATURE,
     cached_generate,
     extraction_request,
     generate,
@@ -28,14 +31,13 @@ from sgqa.llm import (
     request_key,
     write_replay_fixture,
 )
-from sgqa import cli, pipeline, transport
+from sgqa import cli, llm, pipeline, transport
 
 E2E = Path(__file__).parent / "data" / "e2e"
 
 
 def make_request(**overrides):
-    base = dict(model_id="m", prompt="p", max_tokens=300, temperature=0.0,
-                stop_sequences=())
+    base = dict(model_id="m", prompt="p", max_tokens=300, stop_sequences=())
     base.update(overrides)
     return GenerationRequest(**base)
 
@@ -46,30 +48,31 @@ def test_key_purity_equal_requests():
     assert request_key(make_request()) == request_key(make_request())
 
 
-@pytest.mark.parametrize("change", [
+KEY_CHANGES = [
     {"model_id": "other"},
     {"prompt": "different"},
     {"max_tokens": 128},
     {"max_tokens": None},
-    {"temperature": 0.5},
     {"stop_sequences": ("\n",)},
-])
+]
+
+
+@pytest.mark.parametrize("change", KEY_CHANGES)
 def test_key_changes_with_any_field(change):
+    """Every field is changed by some case, so a field added later must
+    enter the key or fail here."""
+    changed = {name for case in KEY_CHANGES for name in case}
+    assert [f.name for f in dataclasses.fields(GenerationRequest)
+            if f.name not in changed] == []
     assert request_key(make_request()) != request_key(make_request(**change))
 
 
 def test_request_factories():
     ext = extraction_request("p", "m")
-    assert ext.max_tokens == 300 and ext.temperature == 0.0
+    assert ext == GenerationRequest(model_id="m", prompt="p", max_tokens=300)
     qa = qa_request("p", "m")
-    assert qa.max_tokens is None
-    assert qa.effective_max_tokens == 512
-    assert qa.stop_sequences == ("\n",)
-
-
-def test_negative_temperature_rejected():
-    with pytest.raises(ValueError):
-        make_request(temperature=-1.0)
+    assert qa == GenerationRequest(model_id="m", prompt="p", stop_sequences=("\n",))
+    assert qa.max_tokens is None and TEMPERATURE == 0.0
 
 
 # --------------------------------------------------------------- replay
@@ -79,10 +82,7 @@ def test_replay_backend_serves_fixture(tmp_path):
     path = tmp_path / "replay.jsonl"
     write_replay_fixture(path, [(request, "fixture text")])
     backend = ReplayBackend.from_file(path)
-    completion = generate(request, backend)
-    assert completion.text == "fixture text"
-    assert completion.cached is False
-    assert completion.latency >= 0.0
+    assert generate(request, backend) == Completion("fixture text", "replay")
 
 
 def test_replay_fixture_repeated_key_later_wins(tmp_path):
@@ -119,26 +119,34 @@ def test_completion_never_contains_stop_sequence():
 
 # --------------------------------------------------------------- cache
 
-def test_cached_generate_hit_and_miss(tmp_path):
+def test_cached_generate_hit_and_miss(tmp_path, counted):
     request = make_request()
-    backend = ReplayBackend({request_key(request): "value"})
+    backend = counted(ReplayBackend({request_key(request): "value"}))
     with CompletionCache(tmp_path / "cache") as cache:
         first = cached_generate(request, backend, cache)
         second = cached_generate(request, backend, cache)
-    assert first.cached is False and first.text == "value"
-    assert second.cached is True and second.text == "value"
-    assert second.latency == 0.0
+        # a hit hands out the one indexed value, and builds no new one
+        assert second is first is cache.get(request_key(request))
+    assert first == Completion("value", "replay")
     assert backend.calls == 1
+    with CompletionCache(tmp_path / "cache") as reopened:
+        hit = reopened.get(request_key(request))
+        assert hit == first and hit is reopened.get(request_key(request))
 
 
-def test_cache_distinguishes_temperature(tmp_path):
-    r0 = make_request(temperature=0.0)
-    r1 = make_request(temperature=1.0)
-    backend = ReplayBackend({request_key(r0): "cold", request_key(r1): "hot"})
+def test_cache_distinguishes_temperature(tmp_path, monkeypatch, counted):
+    """The fixed temperature enters the key: a completion made at another
+    temperature is not served."""
+    cold = make_request()
+    cold_key = request_key(cold)
+    monkeypatch.setattr(llm, "TEMPERATURE", 1.0)
+    hot = make_request()
+    assert request_key(hot) != cold_key
+    backend = counted(ReplayBackend({cold_key: "cold", request_key(hot): "hot"}))
     with CompletionCache(tmp_path / "cache") as cache:
-        assert cached_generate(r0, backend, cache).text == "cold"
-        assert cached_generate(r1, backend, cache).text == "hot"
-    assert backend.calls == 2
+        cache.put(cold_key, Completion("cold", "replay"))
+        assert cached_generate(hot, backend, cache).text == "hot"
+    assert backend.calls == 1
 
 
 def log_lines(cache):
@@ -146,29 +154,30 @@ def log_lines(cache):
     return [line for line in cache.path.read_text(encoding="utf-8").splitlines() if line]
 
 
-def test_cache_corruption_regenerates(tmp_path, caplog):
+def test_cache_corruption_regenerates(tmp_path, caplog, counted):
     request = make_request()
     backend = ReplayBackend({request_key(request): "value"})
     with CompletionCache(tmp_path / "cache") as cache:
         cached_generate(request, backend, cache)
 
     cache.path.write_text("{not json\n", encoding="utf-8")
+    backend = counted(backend)
     with caplog.at_level("WARNING"), CompletionCache(tmp_path / "cache") as cache:
         completion = cached_generate(request, backend, cache)
     assert completion.text == "value"
-    assert completion.cached is False
+    assert backend.calls == 1
     assert f"{cache.path}:1: corrupt line skipped" in caplog.text
     # the regenerated entry follows the corrupt line and is served on reopen
     assert json.loads(log_lines(cache)[1])["text"] == "value"
     with CompletionCache(tmp_path / "cache") as reopened:
-        assert reopened.get(request_key(request))["text"] == "value"
+        assert reopened.get(request_key(request)).text == "value"
 
 
-def test_concurrent_calls_after_warmup_hit_cache(tmp_path):
+def test_concurrent_calls_after_warmup_hit_cache(tmp_path, counted):
     request = make_request()
-    backend = ReplayBackend({request_key(request): "value"})
+    backend = counted(ReplayBackend({request_key(request): "value"}))
     cache = CompletionCache(tmp_path / "cache")
-    cached_generate(request, backend, cache)  # warm up
+    warm = cached_generate(request, backend, cache)
 
     results = []
     with ThreadPoolExecutor(max_workers=16) as pool:
@@ -177,7 +186,7 @@ def test_concurrent_calls_after_warmup_hit_cache(tmp_path):
         results = [f.result(timeout=10) for f in futures]
     cache.close()
     assert backend.calls == 1
-    assert all(r.text == "value" and r.cached for r in results)
+    assert all(r is warm for r in results)
     assert len(log_lines(cache)) == 1
 
 
@@ -201,7 +210,7 @@ def test_concurrent_cold_cache_single_entry(tmp_path):
 def test_cache_drops_torn_last_line(tmp_path, caplog):
     first, torn = make_request(prompt="first"), make_request(prompt="torn")
     with CompletionCache(tmp_path / "cache") as cache:
-        cache.put(request_key(first), "one", "replay")
+        cache.put(request_key(first), Completion("one", "replay"))
     with open(cache.path, "ab") as fh:  # a put killed mid-write
         fh.write(b'{"key": "' + request_key(torn).encode() + b'", "text": "tw')
     whole = cache.path.read_bytes()
@@ -209,14 +218,14 @@ def test_cache_drops_torn_last_line(tmp_path, caplog):
     with caplog.at_level("WARNING"), CompletionCache(tmp_path / "cache") as cache:
         assert f"{cache.path}:3: corrupt line skipped" in caplog.text
         assert cache.path.read_bytes() == whole  # skipped, not cut off
-        assert cache.get(request_key(first))["text"] == "one"
+        assert cache.get(request_key(first)).text == "one"
         assert cache.get(request_key(torn)) is None
-        cache.put(request_key(torn), "two", "replay")
+        cache.put(request_key(torn), Completion("two", "replay"))
     # the put lands on a line of its own after the torn one
     assert cache.path.read_bytes().startswith(whole + b'\n{"key": ')
     assert len(log_lines(cache)) == 3
     with CompletionCache(tmp_path / "cache") as cache:
-        assert [cache.get(request_key(r))["text"] for r in (first, torn)] == ["one", "two"]
+        assert [cache.get(request_key(r)).text for r in (first, torn)] == ["one", "two"]
 
 
 def test_cache_opened_during_another_append_keeps_that_line(tmp_path, caplog):
@@ -231,28 +240,28 @@ def test_cache_opened_during_another_append_keeps_that_line(tmp_path, caplog):
         os.write(fd, line[:30])  # the other process's append, part way
         with CompletionCache(cache_dir) as cache:
             os.write(fd, line[30:])  # ... and the rest of it
-            cache.put("kB", "B", "replay")
+            cache.put("kB", Completion("B", "replay"))
     finally:
         os.close(fd)
     caplog.clear()
     with caplog.at_level("WARNING"), CompletionCache(cache_dir) as cache:
         assert caplog.text == ""  # the blank line before B's is no corrupt line
-        assert cache.get("kA") == {"text": "A", "backend_id": "replay"}
-        assert cache.get("kB") == {"text": "B", "backend_id": "replay"}
+        assert cache.get("kA") == Completion("A", "replay")
+        assert cache.get("kB") == Completion("B", "replay")
 
 
 def test_put_after_another_writer_died_mid_line_is_kept(tmp_path, caplog):
     """A writer that dies mid-line after a cache opened leaves a torn line;
     the cache's next put still lands on a line of its own."""
     with CompletionCache(tmp_path / "cache") as cache:
-        cache.put("k0", "zero", "replay")
+        cache.put("k0", Completion("zero", "replay"))
         with open(cache.path, "ab") as fh:  # another writer, killed mid-append
             fh.write(b'{"key": "k1", "text": "v')
-        cache.put("k2", "two", "replay")
+        cache.put("k2", Completion("two", "replay"))
     with caplog.at_level("WARNING"), CompletionCache(tmp_path / "cache") as cache:
-        assert cache.get("k0") == {"text": "zero", "backend_id": "replay"}
+        assert cache.get("k0") == Completion("zero", "replay")
         assert cache.get("k1") is None
-        assert cache.get("k2") == {"text": "two", "backend_id": "replay"}
+        assert cache.get("k2") == Completion("two", "replay")
     assert f"{cache.path}:3: corrupt line skipped" in caplog.text
     assert len(log_lines(cache)) == 3
 
@@ -276,23 +285,23 @@ class DyingWriterBeforeEachWrite:
 def test_put_just_after_another_writer_died_mid_line_is_kept(tmp_path):
     with CompletionCache(tmp_path / "cache") as cache:
         cache._log = DyingWriterBeforeEachWrite(cache._log)
-        cache.put("k1", "one", "replay")
+        cache.put("k1", Completion("one", "replay"))
     with CompletionCache(tmp_path / "cache") as cache:
-        assert cache.get("k1") == {"text": "one", "backend_id": "replay"}
+        assert cache.get("k1") == Completion("one", "replay")
         assert cache.get("kX") is None
 
 
 def test_cache_skips_corrupt_middle_line(tmp_path, caplog):
     requests = [make_request(prompt=p) for p in ("a", "b")]
     with CompletionCache(tmp_path / "cache") as cache:
-        cache.put(request_key(requests[0]), "A", "replay")
+        cache.put(request_key(requests[0]), Completion("A", "replay"))
     with open(cache.path, "ab") as fh:
         fh.write(b'{"key": "x", "te\n["not", "an", "entry"]\n')
     with CompletionCache(tmp_path / "cache") as cache:
-        cache.put(request_key(requests[1]), "B", "replay")
+        cache.put(request_key(requests[1]), Completion("B", "replay"))
 
     with caplog.at_level("WARNING"), CompletionCache(tmp_path / "cache") as cache:
-        assert [cache.get(request_key(r))["text"] for r in requests] == ["A", "B"]
+        assert [cache.get(request_key(r)).text for r in requests] == ["A", "B"]
     assert f"{cache.path}:3: corrupt line skipped" in caplog.text
     assert f"{cache.path}:4: not a cache entry" in caplog.text
     assert len(log_lines(cache)) == 4
@@ -310,8 +319,8 @@ class SlowBackend(ReplayBackend):
 
     def complete(self, request):
         with self.lock:
-            self.calls += 1
-            fail = self.calls <= self.failures
+            fail = self.failures > 0
+            self.failures -= 1
         time.sleep(self.delay)
         if fail:
             raise RuntimeError("backend down")
@@ -339,22 +348,22 @@ def race(cache, request, backend, threads=8):
         sys.setswitchinterval(interval)
 
 
-def test_concurrent_misses_make_one_backend_call(tmp_path):
+def test_concurrent_misses_make_one_backend_call(tmp_path, counted):
     request = make_request()
-    backend = SlowBackend({request_key(request): "value"}, delay=0.2)
+    backend = counted(SlowBackend({request_key(request): "value"}, delay=0.2))
     with CompletionCache(tmp_path / "cache") as cache:
         results = race(cache, request, backend)
         # a miss that lost the race to a finished call is served from the index
         late = cache.fill(request_key(request), lambda: pytest.fail("second backend call"))
     assert backend.calls == 1
     assert [r.text for r in results] == ["value"] * 8
-    assert late.text == "value" and late.cached
+    assert late is results[0] and late.text == "value"
     assert len(log_lines(cache)) == 1
 
 
-def test_failed_call_fails_every_waiter_and_is_retried(tmp_path):
+def test_failed_call_fails_every_waiter_and_is_retried(tmp_path, counted):
     request = make_request()
-    backend = SlowBackend({request_key(request): "value"}, delay=0.5, failures=1)
+    backend = counted(SlowBackend({request_key(request): "value"}, delay=0.5, failures=1))
     with CompletionCache(tmp_path / "cache") as cache:
         results = race(cache, request, backend)
         assert backend.calls == 1
@@ -365,9 +374,9 @@ def test_failed_call_fails_every_waiter_and_is_retried(tmp_path):
     assert len(log_lines(cache)) == 1
 
 
-def test_two_caches_on_one_directory_both_append(tmp_path):
+def test_two_caches_on_one_directory_both_append(tmp_path, counted):
     r1, r2 = make_request(prompt="one"), make_request(prompt="two")
-    backend = ReplayBackend({request_key(r1): "1", request_key(r2): "2"})
+    backend = counted(ReplayBackend({request_key(r1): "1", request_key(r2): "2"}))
     with CompletionCache(tmp_path / "cache") as a, CompletionCache(tmp_path / "cache") as b:
         cached_generate(r1, backend, a)
         cached_generate(r2, backend, b)
@@ -425,6 +434,18 @@ def test_http_backend_refuses_non_http_endpoint_when_built(monkeypatch, endpoint
     monkeypatch.setattr(socket, "create_connection", lambda *a, **k: connects.append(a))
     with pytest.raises(ValueError, match=f"endpoint {re.escape(repr(endpoint))} needs an "
                                          "http:// or https:// scheme"):
+        HTTPBackend(endpoint, api_key="k")
+    assert sleeps == [] and connects == []
+
+
+@pytest.mark.parametrize("endpoint", [
+    "http://127.0.0.1:abc/v1/completions", "http://127.0.0.1:99999/v1/completions",
+])
+def test_http_backend_refuses_bad_port_when_built(monkeypatch, endpoint):
+    sleeps, connects = [], []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    monkeypatch.setattr(socket, "create_connection", lambda *a, **k: connects.append(a))
+    with pytest.raises(ValueError, match=f"^endpoint {re.escape(repr(endpoint))}: Port "):
         HTTPBackend(endpoint, api_key="k")
     assert sleeps == [] and connects == []
 

@@ -23,7 +23,7 @@ class BackendDown(RuntimeError):
 
 
 def entry(text):
-    return None if text is None else {"text": text, "backend_id": "replay"}
+    return None if text is None else Completion(text, "replay")
 
 
 class CompletionLog(RuleBasedStateMachine):
@@ -99,7 +99,7 @@ class CompletionLog(RuleBasedStateMachine):
             assert self.log_size() == size  # a failing fill puts nothing
         else:
             if present:
-                assert completion.cached and completion.text == seen[key]
+                assert completion is cache.get(key) and completion.text == seen[key]
             else:
                 seen[key] = completion.text
                 self.entries.append((key, completion.text))

@@ -91,12 +91,11 @@ def test_sg_multi_without_entities_writes_empty_graph_and_asks_no_relations(
         f"no entities extracted for {p.title!r}; emitting empty graph" for p in paragraphs]
 
 
-def test_rerun_extract_uses_cache_only(tmp_path):
+def test_rerun_extract_uses_cache_only(tmp_path, counted):
     config = make_config(tmp_path)
     first = pipeline.run_extract(config).read_bytes()
 
-    counting = ReplayBackend.from_file(config.replay_file)
-    calls_before = counting.calls
+    counting = counted(ReplayBackend.from_file(config.replay_file))
 
     def make_counting(_config):
         return counting
@@ -108,11 +107,11 @@ def test_rerun_extract_uses_cache_only(tmp_path):
         second = pipeline.run_extract(config2).read_bytes()
     finally:
         pipeline.make_backend = original
-    assert counting.calls == calls_before == 0
+    assert counting.calls == 0
     assert first == second
 
 
-def test_rerun_regenerates_mistyped_cache_entry_once(tmp_path, monkeypatch, caplog):
+def test_rerun_regenerates_mistyped_cache_entry_once(tmp_path, monkeypatch, caplog, counted):
     config = make_config(tmp_path)
     expected = pipeline.run_extract(config).read_bytes()
     log = Path(config.cache_dir) / "completions.jsonl"
@@ -120,7 +119,7 @@ def test_rerun_regenerates_mistyped_cache_entry_once(tmp_path, monkeypatch, capl
     lines[1] = json.dumps({**json.loads(lines[1]), "text": None})  # line 1 is blank
     log.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    counting = ReplayBackend.from_file(config.replay_file)
+    counting = counted(ReplayBackend.from_file(config.replay_file))
     monkeypatch.setattr(pipeline, "make_backend", lambda _config: counting)
     config2 = make_config(tmp_path, output_dir=str(tmp_path / "run2"))
     with caplog.at_level("WARNING"):
@@ -438,13 +437,13 @@ def test_workers_do_not_change_output(tmp_path):
     assert a == b
 
 
-def test_interrupted_run_resumes_to_same_output(tmp_path):
+def test_interrupted_run_resumes_to_same_output(tmp_path, counted):
     config = make_config(tmp_path, variant="base", output_dir=str(tmp_path / "full"))
     expected = pipeline.run_answer(config).read_bytes()
 
-    class FlakyBackend(ReplayBackend):
-        def __init__(self, fixtures, fail_after):
-            super().__init__(fixtures)
+    class FlakyBackend(counted):
+        def __init__(self, backend, fail_after):
+            super().__init__(backend)
             self.fail_after = fail_after
 
         def complete(self, request):
@@ -452,8 +451,7 @@ def test_interrupted_run_resumes_to_same_output(tmp_path):
                 raise RuntimeError("simulated crash")
             return super().complete(request)
 
-    flaky = FlakyBackend(ReplayBackend.from_file(config.replay_file)._fixtures,
-                         fail_after=4)
+    flaky = FlakyBackend(ReplayBackend.from_file(config.replay_file), fail_after=4)
     original = pipeline.make_backend
     pipeline.make_backend = lambda _config: flaky
     try:
@@ -1172,6 +1170,22 @@ def test_cli_answer_rejects_endpoint_without_scheme(tmp_path, capsys, monkeypatc
     assert "'api.example.com/x' needs an http:// or https:// scheme" in capsys.readouterr().err
     assert posts == [] and sleeps == []
     assert not (tmp_path / "run" / "predictions.jsonl").exists()
+
+
+def test_cli_answer_rejects_endpoint_with_bad_port(tmp_path, capsys, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    endpoint = "http://127.0.0.1:abc/v1/completions"
+    code = run_cli([
+        "answer", "--dataset", E2E / "dataset.json", "--variant", "base",
+        "--backend", "live", "--endpoint", endpoint,
+        "--cache-dir", tmp_path / "cache", "--model", MODEL,
+        "--output-dir", tmp_path / "run",
+    ])
+    assert code == 2
+    assert f"endpoint {endpoint!r}: Port could not be cast" in capsys.readouterr().err
+    assert sleeps == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_ground_names_graph_row_without_graph(tmp_path, capsys):
