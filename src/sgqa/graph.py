@@ -41,7 +41,7 @@ class PromptVariant(str, Enum):
     SG_ONE = "sg-one"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     """A short text span naming an object/event/truth; trimmed, single-line.
     Entities compare and hash by text, so `dict.fromkeys` dedupes them and
@@ -58,7 +58,7 @@ class Entity:
             raise ValueError(f"entity text must not contain newlines: {self.text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: Entity
     relation: str
@@ -81,7 +81,7 @@ class ParseReport:
     rejected_lines: tuple[tuple[int, str, str], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemanticGraph:
     variant: PromptVariant
     entities: tuple[Entity, ...]
@@ -265,7 +265,8 @@ def _is_table(rows, width: int) -> bool:
 def graph_from_dict(data: dict) -> SemanticGraph:
     """The graph of a `graph_to_dict` object, whose pairs and triples may be
     absent. A malformed object raises ValueError saying what is wrong; pairs,
-    if present, must be the graph's derived ones."""
+    if present, must be the graph's derived ones. Each entity is built once,
+    and the triples' endpoints are those objects."""
     fault = row_fault(data, _GRAPH_FIELDS)
     if fault is None:
         triples = data.get("triples", [])
@@ -275,10 +276,15 @@ def graph_from_dict(data: dict) -> SemanticGraph:
             fault = "field 'triples' must be an array of arrays of 3 strings"
     if fault is not None:
         raise ValueError(fault)
+    entities = tuple(map(Entity, data["entities"]))
+    # Endpoints are the entity objects themselves. One missing from the list
+    # is built, so that the graph rejects it.
+    known = {e.text: e for e in entities}
     graph = SemanticGraph(
         variant=PromptVariant(data["variant"]),
-        entities=tuple(Entity(t) for t in data["entities"]),
-        triples=tuple(Triple(Entity(s), rel, Entity(o)) for s, rel, o in triples),
+        entities=entities,
+        triples=tuple(Triple(known.get(s) or Entity(s), rel, known.get(o) or Entity(o))
+                      for s, rel, o in triples),
         source_title=data["source_title"],
     )
     if "pairs" in data and data["pairs"] != [[a.text, b.text] for a, b in graph.pairs]:

@@ -10,9 +10,15 @@ into the output file as each step's outcome arrives, in input order, so no
 stage holds its whole output. `run_extract` and `run_answer` hold only their
 own checks, their demonstrations and that step.
 
+The two stages hold only gold paragraphs: `load_records` keeps each
+record's gold paragraphs as its context and drops the distractors, which
+`load_dataset` has checked and returned. `run_answer` loads its records
+before its graphs, so the dataset's full load never overlaps them.
+
 Questions that share a gold paragraph share its graph: `run_extract` builds
 it once and keeps it during the stage only if more than one question uses
-that paragraph, and `load_graphs` hands out equal graphs as one object.
+that paragraph, and `load_graphs` hands out equal graphs as one object,
+whose triples' endpoints are its entity objects.
 
 `run_evaluate` scores the predictions in one pass with running sums per
 variant/setting group, and `read_predictions` gives its rows one shared
@@ -181,11 +187,17 @@ class RunManifest:
 
 
 def load_records(config: RunConfig) -> list[corpus.QuestionRecord]:
+    """The records of the configured split, each keeping only its gold
+    paragraphs as its context: the ones `gold_paragraphs` returns, in context
+    order, with duplicates, but without its warning. `load_dataset` has
+    checked every paragraph; the distractors are dropped only here."""
     records = corpus.load_dataset(config.dataset_path, config.dataset_format)
-    if config.split == "all":
-        return records
-    split = corpus.sample_splits(records, config.seed, config.dev_n, config.test_n)
-    return list(split.dev if config.split == "dev" else split.test)
+    if config.split != "all":
+        split = corpus.sample_splits(records, config.seed, config.dev_n, config.test_n)
+        records = split.dev if config.split == "dev" else split.test
+    return [corpus.QuestionRecord(r.id, r.question, r.gold_answer, tuple(
+        p for p in r.context if p.title in r.supporting_titles), r.supporting_titles)
+        for r in records]
 
 
 def make_backend(config: RunConfig):
@@ -329,11 +341,9 @@ def run_extract(config: RunConfig) -> Path:
     demos = {kind: prompts.demo_set(kind, config.demo_dir)
              for kind in EXTRACTION_DEMO_KINDS[config.variant]}
     records = load_records(config)
-    # Each gold paragraph used more than once (counted without gold_paragraphs'
-    # warning), with its graph row once one is built.
+    # Each gold paragraph used more than once, with its graph row once one is built.
     shared: dict[corpus.Paragraph, dict | None] = dict.fromkeys(
-        p for p, uses in Counter(p for r in records for p in r.context
-                                 if p.title in r.supporting_titles).items() if uses > 1)
+        p for p, uses in Counter(p for r in records for p in r.context).items() if uses > 1)
 
     def graph_row(paragraph: corpus.Paragraph, backend, cache: CompletionCache) -> dict:
         built = shared.get(paragraph)
@@ -387,10 +397,11 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
         graphs_path = graphs_path or Path(config.output_dir) / "graphs.jsonl"
         if not Path(graphs_path).exists():
             raise UsageError(f"variant {config.variant.value} needs graphs: {graphs_path} missing")
-        graphs_by_qid = load_graphs(graphs_path)
     elif graphs_path is not None:
         raise UsageError("the base variant takes no graphs")
     demos = prompts.demo_set(f"qa_{config.setting.value}", config.demo_dir)
+    records = load_records(config)
+    graphs_by_qid = load_graphs(graphs_path) if needs_graphs else {}
 
     def step(record: corpus.QuestionRecord, backend, cache: CompletionCache):
         graphs = []
@@ -405,8 +416,7 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
         return [answer_question(record, graphs, config.variant, config.setting, demos,
                                 backend, cache, config.model_id)], None
 
-    return _run_stage(config, load_records(config), "answer", "predictions.jsonl", "answered",
-                      step)
+    return _run_stage(config, records, "answer", "predictions.jsonl", "answered", step)
 
 
 def read_predictions(paths) -> list[dict]:

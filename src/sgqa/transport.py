@@ -82,7 +82,7 @@ class KeepAliveSession:
     """JSON POSTs to one URL over kept-alive HTTP/1.1 connections.
 
     The URL, the header lines and the timeout are fixed when the session is
-    built. A URL that is not http(s), whose port is not a number in 0-65535,
+    built. A URL that is not http(s), whose port is not a number in 1-65535,
     or that holds a character `BAD_TARGET` matches, raises `ValueError`
     there, so no request checks it again. The caller's `headers` must match
     no `BAD_FIELD` character and must not name Host, Accept-Encoding or
@@ -111,8 +111,9 @@ class KeepAliveSession:
         self._url = urlsplit(url)
         if self._url.scheme not in ("http", "https"):
             raise ValueError(f"endpoint {url!r} needs an http:// or https:// scheme")
-        try:
-            self._url.port  # a port that is not a number in 0-65535 raises
+        try:  # a port that is not a number in 0-65535 raises; no server listens on 0
+            if self._url.port == 0:
+                raise ValueError("Port out of range 1-65535")
         except ValueError as exc:
             raise ValueError(f"endpoint {url!r}: {exc}") from None
         query = self._url.query

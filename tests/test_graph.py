@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -280,6 +282,9 @@ GFULL = {"source_title": "T", "variant": "g-full", "entities": ["a", "b", "c"],
     ({**GFULL, "triples": [["a", "r", "b"]]}, "g-full graphs have no triples"),
     ({**GRAPH, "triples": [["a", "r", "c"]]},
      "triple endpoint missing from entity list: (a, r, c)"),
+    ({**GRAPH, "triples": [["c", "r", "b"]]},
+     "triple endpoint missing from entity list: (c, r, b)"),
+    ({**GRAPH, "triples": [["a", "r", ""]]}, "entity text must be nonempty"),
     ({**GRAPH, "entities": ["", "b"]}, "entity text must be nonempty"),
     ({**GRAPH, "entities": [" a", "b"]}, "entity text must be trimmed: ' a'"),
     ({**GRAPH, "entities": ["a\nb", "b"]}, "entity text must not contain newlines: 'a\\nb'"),
@@ -288,7 +293,8 @@ GFULL = {"source_title": "T", "variant": "g-full", "entities": ["a", "b", "c"],
 ], ids=["empty", "string entities", "numeric entity", "2-field triple", "string triple",
         "numeric pair end", "unknown variant", "g-full repeated pair", "g-full missing pair",
         "g-full reversed pair", "g-full repeated entity", "sg-multi pairs", "base variant",
-        "g-full triples", "unknown triple endpoint", "empty entity", "untrimmed entity",
+        "g-full triples", "unknown triple endpoint", "unknown triple subject",
+        "empty triple endpoint", "empty entity", "untrimmed entity",
         "entity with newline", "empty relation", "untrimmed relation"])
 def test_graph_from_dict_rejects_malformed_object(data, error):
     with pytest.raises(ValueError) as excinfo:
@@ -299,3 +305,23 @@ def test_graph_from_dict_rejects_malformed_object(data, error):
 def test_graph_from_dict_reads_absent_pairs_and_triples_as_empty():
     data = {"source_title": "T", "variant": "sg-multi", "entities": ["a", "b"]}
     assert graph_from_dict(data) == multi_step_graph("T", [Entity("a"), Entity("b")], [])
+
+
+def test_graph_from_dict_endpoints_are_its_entity_objects():
+    data = {**GRAPH, "entities": ["a", "b", "c"], "triples": [["a", "r", "b"], ["b", "s", "c"]]}
+    graph = graph_from_dict(data)
+    a, b, c = graph.entities
+    ends = [end for t in graph.triples for end in (t.subject, t.object)]
+    assert len(ends) == 4 and all(map(operator.is_, ends, (a, b, b, c)))
+    assert graph_to_dict(graph) == data
+
+
+def test_graph_classes_are_slotted_and_compare_by_value():
+    graph = graph_from_dict(GRAPH)
+    built = joint_graph("T", [Triple(Entity("a"), "r", Entity("b"))])
+    for loaded, fresh in [(graph, built), (graph.entities[0], Entity("a")),
+                          (graph.triples[0], built.triples[0])]:
+        assert not hasattr(loaded, "__dict__")
+        assert loaded == fresh and hash(loaded) == hash(fresh)
+    with pytest.raises(AttributeError):
+        graph.source_title = "U"

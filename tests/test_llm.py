@@ -440,6 +440,7 @@ def test_http_backend_refuses_non_http_endpoint_when_built(monkeypatch, endpoint
 
 @pytest.mark.parametrize("endpoint", [
     "http://127.0.0.1:abc/v1/completions", "http://127.0.0.1:99999/v1/completions",
+    "http://127.0.0.1:0/v1/completions",
 ])
 def test_http_backend_refuses_bad_port_when_built(monkeypatch, endpoint):
     sleeps, connects = [], []

@@ -230,6 +230,53 @@ def test_workers_do_not_change_output_of_shared_paragraphs(tmp_path, reuse_confi
     assert outputs[2] == outputs[1] and outputs[8] == outputs[1]
 
 
+# --------------------------------------------------------------- stage records
+
+def test_load_records_keeps_each_records_gold_paragraphs_and_warns_of_none(tmp_path, caplog):
+    data = json.loads((E2E / "dataset.json").read_text(encoding="utf-8"))
+    data[0]["context"].append(["Stange", ["A second paragraph titled Stange."]])
+    data[2]["supporting_facts"].append(["Atlantis", 0])
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps(data), encoding="utf-8")
+    for split in ("all", "dev", "test"):
+        config = make_config(tmp_path, dataset_path=str(dataset), split=split, dev_n=3, test_n=4)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            records = pipeline.load_records(config)
+        assert caplog.records == []
+        full = corpus.load_dataset(dataset)
+        if split == "all":
+            assert [p.title for p in records[0].context] == ["Knut Hedemann", "Stange", "Stange"]
+        else:
+            full = getattr(corpus.sample_splits(full, config.seed, 3, 4), split)
+        assert [r.id for r in records] == [r.id for r in full]
+        for record, whole in zip(records, full):
+            assert list(record.context) == corpus.gold_paragraphs(whole)
+            assert dataclasses.replace(record, context=whole.context) == whole
+
+
+def test_load_records_rejects_a_malformed_distractor(tmp_path):
+    data = json.loads((E2E / "dataset.json").read_text(encoding="utf-8"))
+    assert data[3]["context"][2][0] == "Kendal (town)"  # no supporting title
+    data[3]["context"][2][1].append(7)
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(corpus.DatasetSchemaError) as excinfo:
+        pipeline.load_records(make_config(tmp_path, dataset_path=str(dataset)))
+    assert str(excinfo.value) == "record 3: bad field 'context' (entry 2 has non-string sentences)"
+
+
+def test_run_answer_loads_its_records_before_the_graphs(tmp_path, monkeypatch):
+    config = make_config(tmp_path)
+    pipeline.run_extract(config)
+    loads = []
+    for name in ("load_records", "load_graphs"):
+        monkeypatch.setattr(pipeline, name, lambda *args, _load=getattr(pipeline, name),
+                            _name=name: loads.append(_name) or _load(*args))
+    pipeline.run_answer(config)
+    assert loads == ["load_records", "load_graphs"]
+
+
 # --------------------------------------------------------------- answer
 
 def test_run_answer_base_cot(tmp_path, records):
@@ -291,7 +338,7 @@ def test_run_ground_rejects_duplicate_paragraph(tmp_path, records):
 
 
 def test_run_answer_missing_graphs_file(tmp_path):
-    config = make_config(tmp_path)
+    config = make_config(tmp_path, dataset_path=str(tmp_path / "not-loaded.json"))
     with pytest.raises(UsageError, match="needs graphs"):
         pipeline.run_answer(config, tmp_path / "nope.jsonl")
 
@@ -1175,17 +1222,18 @@ def test_cli_answer_rejects_endpoint_without_scheme(tmp_path, capsys, monkeypatc
 def test_cli_answer_rejects_endpoint_with_bad_port(tmp_path, capsys, monkeypatch):
     sleeps = []
     monkeypatch.setattr("time.sleep", sleeps.append)
-    endpoint = "http://127.0.0.1:abc/v1/completions"
-    code = run_cli([
-        "answer", "--dataset", E2E / "dataset.json", "--variant", "base",
-        "--backend", "live", "--endpoint", endpoint,
-        "--cache-dir", tmp_path / "cache", "--model", MODEL,
-        "--output-dir", tmp_path / "run",
-    ])
-    assert code == 2
-    assert f"endpoint {endpoint!r}: Port could not be cast" in capsys.readouterr().err
-    assert sleeps == []
-    assert not (tmp_path / "run").exists()
+    for endpoint, error in [("http://127.0.0.1:abc/v1/completions", "Port could not be cast"),
+                            ("http://127.0.0.1:0/v1/completions", "Port out of range 1-65535")]:
+        code = run_cli([
+            "answer", "--dataset", E2E / "dataset.json", "--variant", "base",
+            "--backend", "live", "--endpoint", endpoint,
+            "--cache-dir", tmp_path / "cache", "--model", MODEL,
+            "--output-dir", tmp_path / "run",
+        ])
+        assert code == 2
+        assert f"endpoint {endpoint!r}: {error}" in capsys.readouterr().err
+        assert sleeps == []
+        assert not (tmp_path / "run").exists()
 
 
 def test_cli_ground_names_graph_row_without_graph(tmp_path, capsys):
