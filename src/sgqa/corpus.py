@@ -26,6 +26,11 @@ the reads are 64 KiB. The benchmark's peak RSS, evaluating 7,405
 predictions: 153.4 MB with sentence strings and 1 MiB reads, 139.4 MB with
 stored text alone, 137.5 MB with both; for 500 questions over HTTP: 44.6,
 45.3 and 40.4 MB.
+
+A supporting title that names a context paragraph is that paragraph's own
+title object, not a second copy of the string: 0.96 MiB less on the same
+dataset. A supporting title missing from the context is kept as read, so
+`gold_paragraphs` still warns about it.
 """
 
 from __future__ import annotations
@@ -154,7 +159,8 @@ def _parse_context(raw_context, index: int) -> tuple[Paragraph, ...]:
     return tuple(paragraphs)
 
 
-def _parse_supporting_titles(raw_facts, index: int) -> frozenset[str]:
+def _parse_supporting_titles(raw_facts, index: int, own: dict[str, str]) -> frozenset[str]:
+    """The supporting-fact titles; a title that `own` holds is that object."""
     if not isinstance(raw_facts, list):
         raise DatasetSchemaError(index, "supporting_facts", "expected a list")
     titles = []
@@ -164,7 +170,7 @@ def _parse_supporting_titles(raw_facts, index: int) -> frozenset[str]:
             raise DatasetSchemaError(
                 index, "supporting_facts", f"entry {pos} is not a [title, sent_idx] pair"
             )
-        titles.append(item[0])
+        titles.append(own.get(item[0], item[0]))
     return frozenset(titles)
 
 
@@ -296,7 +302,9 @@ def _build_record(raw, index: int, first_index: dict[str, int]) -> QuestionRecor
     question = _require(raw, index, "question")
     answer = _require(raw, index, "answer")
     context = _parse_context(_require(raw, index, "context"), index)
-    titles = _parse_supporting_titles(_require(raw, index, "supporting_facts"), index)
+    # Sharing a paragraph's title object keeps one string per title, not two.
+    titles = _parse_supporting_titles(_require(raw, index, "supporting_facts"), index,
+                                      {p.title: p.title for p in context})
     if not isinstance(question, str) or not question:
         raise DatasetSchemaError(index, "question", "must be a nonempty string")
     if not isinstance(answer, str) or not answer:

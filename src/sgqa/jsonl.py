@@ -117,10 +117,11 @@ def read_rows(paths, fields, what=None, key=None):
             if error is not None:
                 raise ValueError(f"{path}:{line_no}: {error}")
             if key is not None:
-                where = f"{path}:{line_no}"
+                where = (path, line_no)  # formatted only in the error
                 first = first_at.setdefault(key(row), where)
                 if first is not where:  # an earlier row has this key
-                    raise ValueError(f"{where}: duplicate {what} {key(row)!r} (first at {first})")
+                    raise ValueError(f"{path}:{line_no}: duplicate {what} {key(row)!r} "
+                                     f"(first at {first[0]}:{first[1]})")
             yield path, line_no, row
 
 

@@ -21,8 +21,10 @@ that paragraph, and `load_graphs` hands out equal graphs as one object,
 whose triples' endpoints are its entity objects.
 
 `run_evaluate` scores the predictions in one pass with running sums per
-variant/setting group, and `read_predictions` gives its rows one shared
-string per field name.
+variant/setting group, and keeps the labelled rows' answer scores and labels
+packed as doubles. `read_predictions` keeps of each row only the fields
+evaluation reads, plus its `flags`, with one shared string per field name
+and per variant and setting value.
 
 Stages are idempotent: completions are cached on disk, so re-running (or
 resuming after a kill) recomputes outputs byte-identically without repeat
@@ -43,6 +45,7 @@ import dataclasses
 import io
 import json
 import logging
+from array import array
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -68,6 +71,8 @@ logger = logging.getLogger(__name__)
 ANSWER_COLUMNS = ("em", "f1", "precision", "recall")
 ROUGE_COLUMNS = ("rouge1", "rouge2", "rougeL")
 GRAPH_FIELDS = {"question_id": str, "paragraph_index": int, "graph": dict}  # of a graphs row
+# The string fields of a predictions row that `run_evaluate` reads.
+PREDICTION_FIELDS = ("question_id", "variant", "setting", "answer", "completion")
 # The demonstration kinds each extraction variant prompts with.
 EXTRACTION_DEMO_KINDS = {
     PromptVariant.G_FULL: ("entity",),
@@ -420,16 +425,24 @@ def run_answer(config: RunConfig, graphs_path=None) -> Path:
 
 
 def read_predictions(paths) -> list[dict]:
-    """Prediction rows of all the JSONL files. A row that lacks a string field
-    run_evaluate reads, or with a (variant, setting, question_id) that an
-    earlier row of any of the files has, is rejected naming its file and line.
-    The rows share one string per field name: the JSON decoder shares keys
-    only within one line."""
-    fields = dict.fromkeys(("question_id", "variant", "setting", "answer", "completion"), str)
-    names: dict[str, str] = {}
-    return [{names.setdefault(name, name): value for name, value in row.items()}
-            for _, _, row in read_rows(paths, fields, "prediction",
-                                       itemgetter("variant", "setting", "question_id"))]
+    """Prediction rows of all the JSONL files, each holding only the fields
+    `run_evaluate` reads (`PREDICTION_FIELDS`) and `flags` if the row has it.
+    A row that lacks one of those string fields, or with a (variant, setting,
+    question_id) that an earlier row of any of the files has, is rejected
+    naming its file and line. The rows share one string per field name and
+    per variant and setting value: the JSON decoder shares keys only within
+    one line, and values never."""
+    shared: dict[str, str] = {}
+    rows = []
+    for _, _, row in read_rows(paths, dict.fromkeys(PREDICTION_FIELDS, str), "prediction",
+                               itemgetter("variant", "setting", "question_id")):
+        lean = {name: row[name] for name in PREDICTION_FIELDS}
+        lean["variant"] = shared.setdefault(row["variant"], row["variant"])
+        lean["setting"] = shared.setdefault(row["setting"], row["setting"])
+        if "flags" in row:
+            lean["flags"] = row["flags"]
+        rows.append(lean)
+    return rows
 
 
 def _table_files(stem: str, header: list[str], rows: list[list]) -> list[tuple[str, str]]:
@@ -497,7 +510,8 @@ def run_evaluate(
     its chain ROUGE if it is a cot row with a reference chain. The row's CSV
     lines go straight into the score tables' text, and its group's running
     sums grow, so no score object outlives its row; only the labelled rows'
-    answer scores and labels are kept, for the correlations. Nothing is
+    answer scores and labels are kept, for the correlations, each column an
+    `array("d")`. A row is read only for its `PREDICTION_FIELDS`. Nothing is
     written until the report has serialised.
     """
     out_dir = Path(output_dir)
@@ -509,8 +523,9 @@ def run_evaluate(
     # Chain ROUGE against reference chains (CoT completions are the chains).
     chains = None if reference_chains is None else _ScoreTable(
         "chain", ("question_id", "variant"), ROUGE_COLUMNS, ["ROUGE-1", "ROUGE-2", "ROUGE-L"])
-    labelled = tuple([] for _ in ANSWER_COLUMNS)  # per answer column, of labelled rows
-    labels: list[float] = []
+    # Per answer column, the labelled rows' scores, and their labels, packed as doubles.
+    labelled = tuple(array("d") for _ in ANSWER_COLUMNS)
+    labels = array("d")
 
     for row in predictions:
         question_id, variant, setting = row["question_id"], row["variant"], row["setting"]
@@ -523,7 +538,7 @@ def run_evaluate(
         if human_labels is not None and question_id in human_labels:
             for column, value in zip(labelled, values):
                 column.append(value)
-            labels.append(float(human_labels[question_id]))
+            labels.append(human_labels[question_id])
         if (chains is not None and setting == Setting.COT.value
                 and question_id in reference_chains):
             chains.add([question_id, variant], group, _rouge_values(metrics.rouge_scores(

@@ -29,6 +29,23 @@ def test_load_dataset_well_formed(sample_dataset_path):
     assert first.supporting_titles == {"Knut Hedemann", "Stange"}
 
 
+def test_load_dataset_shares_supporting_titles_with_their_paragraphs(tmp_path, caplog):
+    path = write_json(tmp_path / "d.json", [
+        {"_id": "q", "question": "q?", "answer": "a",
+         "context": [["A", ["x."]], ["Bee", ["y.", "z."]], ["Cee", ["w."]]],
+         "supporting_facts": [["Bee", 0], ["Bee", 1], ["Atlantis", 0], ["A", 0]]},
+    ])
+    [record] = load_dataset(path)
+    assert record.supporting_titles == {"A", "Bee", "Atlantis"}
+    by_text = {title: title for title in record.supporting_titles}
+    assert by_text["A"] is record.context[0].title
+    assert by_text["Bee"] is record.context[1].title
+    with caplog.at_level("WARNING"):  # the title missing from the context is kept as read
+        assert [p.title for p in gold_paragraphs(record)] == ["A", "Bee"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "question q: supporting title 'Atlantis' not in context; skipped"]
+
+
 def test_load_dataset_empty_array(tmp_path):
     path = write_json(tmp_path / "empty.json", [])
     assert load_dataset(path, "hotpotqa") == []

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from array import array
 from collections import Counter
 
 import pytest
@@ -355,6 +356,21 @@ def test_correlations_against_scipy_at_hotpotqa_size():
     tau, _ = scipy.stats.kendalltau(xs, ys, variant="b")
     assert spearman(xs, ys) == pytest.approx(rho, abs=1e-12)
     assert kendall_tau(xs, ys) == pytest.approx(tau, abs=1e-12)
+
+
+def test_correlations_of_packed_doubles_equal_those_of_lists_bit_for_bit():
+    # run_evaluate packs its score columns and labels with array("d").
+    rng = random.Random(10)
+    for n in (2, 5, 40, 7405):
+        for _ in range(3 if n < 7405 else 1):
+            xs = [rng.choice((0.0, 1 / 3, 0.5, 2 / 3, 1.0, rng.random())) for _ in range(n)]
+            ys = [float(rng.randint(0, 1)) for _ in range(n)]
+            if len(set(xs)) < 2 or len(set(ys)) < 2:
+                continue
+            on_lists = correlations(xs, ys)
+            packed = correlations(array("d", xs), array("d", ys))
+            assert packed.n == on_lists.n == n
+            assert (packed.rho.hex(), packed.tau.hex()) == (on_lists.rho.hex(), on_lists.tau.hex())
 
 
 def test_kendall_tau_scales_to_20000_points():

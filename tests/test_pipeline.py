@@ -12,6 +12,7 @@ import pytest
 
 import sgqa
 from sgqa import cli, corpus, pipeline, prompts
+from sgqa.jsonl import read_jsonl
 from sgqa.llm import CompletionCache, ReplayBackend, request_key
 from sgqa.pipeline import RunConfig, RunManifest, UsageError
 from sgqa.prompts import PromptVariant, Setting
@@ -279,10 +280,15 @@ def test_run_answer_loads_its_records_before_the_graphs(tmp_path, monkeypatch):
 
 # --------------------------------------------------------------- answer
 
+# The fields of every row the answer stage writes to predictions.jsonl.
+WRITTEN_FIELDS = {"question_id", "variant", "setting", "prompt_hash", "completion",
+                  "chain_sentences", "answer", "backend_id", "flags"}
+
+
 def test_run_answer_base_cot(tmp_path, records):
     config = make_config(tmp_path, variant="base")
     predictions_path = pipeline.run_answer(config)
-    rows = pipeline.read_predictions([predictions_path])
+    rows = [row for _, row in read_jsonl(predictions_path)]  # every written field
     assert len(rows) == len(records)
     by_qid = {row["question_id"]: row for row in rows}
     assert by_qid["e2e-01"]["answer"] == "Stange"
@@ -292,12 +298,14 @@ def test_run_answer_base_cot(tmp_path, records):
     for key in ("question_id", "variant", "setting", "prompt_hash",
                 "completion", "chain_sentences", "answer"):
         assert key in rows[0]
+    assert all(set(row) == WRITTEN_FIELDS for row in rows)
 
 
 def test_run_answer_fewshot_has_empty_chain(tmp_path):
     config = make_config(tmp_path, variant="base", setting="fewshot")
-    rows = pipeline.read_predictions([pipeline.run_answer(config)])
+    rows = [row for _, row in read_jsonl(pipeline.run_answer(config))]  # every written field
     assert all(row["chain_sentences"] == [] for row in rows)
+    assert all(set(row) == WRITTEN_FIELDS for row in rows)
     assert {row["answer"] for row in rows} >= {"Stange", "violin"}
 
 
@@ -1124,6 +1132,54 @@ def test_read_predictions_rejects_duplicate_across_files(tmp_path):
     message = str(excinfo.value)
     assert message.startswith(f"{second}:2: duplicate prediction ('base', 'cot', 'e2e-01')")
     assert f"{first}:1" in message
+
+
+KEPT_FIELDS = {"question_id", "variant", "setting", "answer", "completion"}
+
+
+def test_read_predictions_keeps_only_what_evaluate_reads(tmp_path):
+    bare = {name: PREDICTION[name] for name in KEPT_FIELDS}
+    rows = [PREDICTION, {**bare, "question_id": "e2e-02"},
+            {**PREDICTION, "question_id": "e2e-03", "unknown": {"a": [1]}}]
+    path = tmp_path / "predictions.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    read = pipeline.read_predictions([path])
+    assert [set(row) for row in read] == [KEPT_FIELDS | {"flags"}, KEPT_FIELDS,
+                                          KEPT_FIELDS | {"flags"}]
+    assert read[0] == {name: PREDICTION[name] for name in KEPT_FIELDS | {"flags"}}
+    assert read[1] == {**bare, "question_id": "e2e-02"}
+
+
+def test_read_predictions_share_names_and_variant_and_setting_strings(tmp_path):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    first.write_text(json.dumps(PREDICTION) + "\n"
+                     + json.dumps({**PREDICTION, "question_id": "e2e-02"}) + "\n",
+                     encoding="utf-8")
+    second.write_text(json.dumps({**PREDICTION, "question_id": "e2e-03"}) + "\n"
+                      + json.dumps({**PREDICTION, "setting": "fewshot"}) + "\n",
+                      encoding="utf-8")
+    rows = pipeline.read_predictions([first, second])
+    assert [row["setting"] for row in rows] == ["cot", "cot", "cot", "fewshot"]
+    assert len({id(row["variant"]) for row in rows}) == 1
+    assert len({id(row["setting"]) for row in rows[:3]}) == 1
+    for name in KEPT_FIELDS | {"flags"}:
+        assert len({id(key) for row in rows for key in row if key == name}) == 1
+
+
+@pytest.mark.parametrize("rows,error", [
+    ([{k: v for k, v in PREDICTION.items() if k != "completion"}],
+     ":1: missing field 'completion'"),
+    ([PREDICTION, {**PREDICTION, "question_id": "e2e-02", "setting": None}],
+     ":2: field 'setting' must be a string, got null"),
+    ([PREDICTION, {**PREDICTION, "flags": ["no-answer-pattern"]}],
+     ":2: duplicate prediction ('base', 'cot', 'e2e-01') (first at {path}:1)"),
+], ids=["no completion", "null setting", "repeated key"])
+def test_read_predictions_rejects_bad_rows(tmp_path, rows, error):
+    path = tmp_path / "predictions.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        pipeline.read_predictions([path])
+    assert str(excinfo.value) == f"{path}" + error.format(path=path)
 
 
 @pytest.mark.parametrize("lines,error", [
